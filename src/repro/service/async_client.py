@@ -1,8 +1,8 @@
 """Asynchronous registry client: pooling, coalescing, immutable caching.
 
-This is the registry's primary client since the sharded redesign; the
-blocking :class:`~repro.service.client.RegistryClient` is a thin sync
-facade over it.  Three properties make it fast under fan-out load:
+This is the registry's primary client; the blocking
+:class:`~repro.service.client.RegistryClient` is a thin sync facade over
+it.  Three properties make it fast under fan-out load:
 
 * **Connection pooling** — keep-alive HTTP/1.1 connections per endpoint
   (bounded by ``pool_size``), so a burst of requests costs one TCP
@@ -19,7 +19,7 @@ facade over it.  Three properties make it fast under fan-out load:
 
 Endpoints are described by :class:`RegistryEndpoint`, the one
 client-construction currency shared by the sync facade, the async
-client, the cluster client and ``Session(registry=...)``.
+client and ``Session(registry=...)``.
 """
 
 from __future__ import annotations
@@ -66,10 +66,8 @@ class RegistryEndpoint:
     """Where and how to talk to one registry node.
 
     The single entry-point currency for every client flavor: sync,
-    async, cluster, and ``Session(registry=...)`` all accept one of
-    these (or a URL string, which :meth:`parse` normalizes).  Replaces
-    the keyword sprawl of the old ``RegistryClient(base_url, timeout=…,
-    retry_policy=…)`` signature.
+    async and ``Session(registry=...)`` all accept one of these (or a
+    URL string, which :meth:`parse` normalizes).
 
     ``retry_policy=None`` disables 429 retry entirely (each overload
     response raises immediately); leaving it unset installs
@@ -280,19 +278,22 @@ class AsyncRegistryClient:
                     f" unreachable: {exc}"
                 ) from exc
             reader, writer = conn
+            # every exit returns the slot: a junk reply or a cancelled
+            # caller must not leave the pool short of a connection
+            keep = False
             try:
                 writer.write(payload)
                 await asyncio.wait_for(writer.drain(), self.endpoint.timeout)
                 status, response_headers, raw = await asyncio.wait_for(
                     self._read_response(reader), self.endpoint.timeout
                 )
+                keep = response_headers.get("connection", "").lower() != "close"
             except (
                 ConnectionError,
                 OSError,
                 asyncio.IncompleteReadError,
                 asyncio.TimeoutError,
             ) as exc:
-                self._pool.release(conn, reuse=False)
                 last_error = exc
                 if pooled:
                     # the server closed an idle keep-alive connection
@@ -302,8 +303,8 @@ class AsyncRegistryClient:
                     f"registry at {self.endpoint.host}:{self.endpoint.port}"
                     f" unreachable: {exc}"
                 ) from exc
-            keep = response_headers.get("connection", "").lower() != "close"
-            self._pool.release(conn, reuse=keep)
+            finally:
+                self._pool.release(conn, reuse=keep)
             self.stats["network_requests"] += 1
             return status, response_headers, raw
         raise ServiceError(
@@ -317,7 +318,11 @@ class AsyncRegistryClient:
         if not line:
             raise asyncio.IncompleteReadError(b"", None)
         parts = line.decode("latin-1").split()
-        if len(parts) < 2 or not parts[0].startswith("HTTP/"):
+        if (
+            len(parts) < 2
+            or not parts[0].startswith("HTTP/")
+            or not parts[1].isdecimal()
+        ):
             raise ServiceError(f"malformed response status line: {line[:80]!r}")
         status = int(parts[1])
         headers: dict = {}
@@ -329,6 +334,8 @@ class AsyncRegistryClient:
             headers[name.strip().lower()] = value.strip()
         length = headers.get("content-length")
         if length is not None:
+            if not length.isdecimal():
+                raise ServiceError(f"invalid response Content-Length {length!r}")
             body = await reader.readexactly(int(length))
         else:
             body = await reader.read()
@@ -466,10 +473,10 @@ class AsyncRegistryClient:
     async def put_blob(
         self, xml_text: Union[str, bytes], *, strict_lint: bool = False
     ) -> dict:
-        """Content-addressed tagless write (the cluster's blob path).
+        """Content-addressed tagless write (``PUT /blobs/{digest}``).
 
-        The digest is computed locally from the canonical serialization
-        so the caller can route the blob before any server round trip.
+        The digest is computed locally from the canonical serialization;
+        the server refuses the blob if its own canonical digest differs.
         """
         if isinstance(xml_text, bytes):
             xml_text = xml_text.decode("utf-8")
@@ -591,14 +598,6 @@ class AsyncRegistryClient:
             body=protocol.dumps({"platform": platform_ref, "programs": programs}),
         )
         return payload["results"]
-
-    async def oplog(self, since: int = 0, *, limit: int = 1000) -> dict:
-        """Replication pull: ops after ``since`` plus the primary head."""
-        return await self.request(
-            "GET",
-            protocol.route_path("oplog"),
-            params={"since": str(since), "limit": str(limit)},
-        )
 
     # -- tuning profiles -----------------------------------------------------
     async def profiles(self) -> list:

@@ -1,6 +1,6 @@
 """Blocking client for the platform registry service.
 
-Since the sharded-registry redesign this is a **thin sync facade** over
+A **thin sync facade** over
 :class:`~repro.service.async_client.AsyncRegistryClient`: every call is
 submitted to one shared background event loop, so blocking callers get
 the async client's connection pooling, request coalescing and
@@ -10,12 +10,9 @@ caller's active span.
 
 Construction takes a base URL *or* a
 :class:`~repro.service.async_client.RegistryEndpoint` — the unified
-entry-point object shared with the async and cluster clients and with
-``Session(registry=...)``.  The old keyword sprawl
-(``RegistryClient(url, timeout=…, retry_policy=…)``) still works but
-emits :class:`DeprecationWarning`; note that ``retry_policy=None`` now
-*disables* retry (each 429 raises immediately), which is what the
-keyword always documented.
+entry-point object shared with the async client and with
+``Session(registry=...)``; timeouts, pool size, caching and the retry
+policy are set on the endpoint.
 
 Overload handling mirrors the runtime's fault idiom: on ``429`` the
 client honours the server's ``Retry-After`` (bounded by its own
@@ -26,7 +23,6 @@ to ``policy.max_retries`` times before surfacing
 
 from __future__ import annotations
 
-import warnings
 from typing import Optional, Union
 
 from repro.model.platform import Platform
@@ -35,46 +31,16 @@ from repro.service.async_client import (
     LOOP_RUNNER,
     AsyncRegistryClient,
     RegistryEndpoint,
-    default_retry_policy,
 )
 
 __all__ = ["RegistryClient"]
-
-# backwards-compatible alias: the default policy moved with the client core
-_default_retry_policy = default_retry_policy
-
-_UNSET = object()
 
 
 class RegistryClient:
     """Synchronous registry client bound to one endpoint."""
 
-    def __init__(
-        self,
-        endpoint: Union[str, RegistryEndpoint] = "127.0.0.1:8787",
-        *,
-        timeout=_UNSET,
-        retry_policy=_UNSET,
-    ):
-        overrides = {}
-        if timeout is not _UNSET:
-            warnings.warn(
-                "RegistryClient(timeout=...) is deprecated; pass"
-                " RegistryEndpoint(host, port, timeout=...) instead",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            overrides["timeout"] = timeout
-        if retry_policy is not _UNSET:
-            warnings.warn(
-                "RegistryClient(retry_policy=...) is deprecated; pass"
-                " RegistryEndpoint(host, port, retry_policy=...) instead"
-                " (None disables retry, as always documented)",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            overrides["retry_policy"] = retry_policy
-        self.endpoint = RegistryEndpoint.parse(endpoint, **overrides)
+    def __init__(self, endpoint: Union[str, RegistryEndpoint] = "127.0.0.1:8787"):
+        self.endpoint = RegistryEndpoint.parse(endpoint)
         self._async = AsyncRegistryClient(self.endpoint)
 
     # endpoint attributes kept as properties for source compatibility

@@ -22,28 +22,15 @@ Endpoints
 ``POST /diff``                               ``{"old", "new"}`` → structural diff
 ``POST /preselect``                          batched Cascabel pre-selection
 ``GET  /tags/{name}``                        resolve a tag/prefix to its digest
-``PUT  /blobs/{digest}``                     content-addressed tagless write (cluster path)
-``GET  /oplog?since=N``                      replication pull (bypasses admission)
+``PUT  /blobs/{digest}``                     content-addressed tagless write
 ``GET  /profiles``                           stored tuning profiles (digest summaries)
 ``PUT  /profiles/{ref}``                     attach a tuning-database payload to a digest
 ``GET  /profiles/{ref}``                     fetch the tuning profile of a digest
 ===========================================  ===========================================
 
 The route table itself lives in :data:`repro.service.protocol.ROUTES`;
-dispatch patterns, metrics labels, admission exemptions and the
-write-set a replica refuses are all derived from it, so server and
-clients can never disagree about paths.
-
-Replication
------------
-A server started with ``ServiceConfig(replica_of=primary_url)`` is a
-**read replica**: it refuses every write route with ``403
-read-only-replica`` and runs a background task that pulls the primary's
-ordered oplog (``GET /oplog``) every ``replication_interval_s`` and
-applies it through :meth:`DescriptorStore.apply_ops`.  Because blob ops
-are content-verified on apply and tag ops replay in publication order, a
-replica can serve a *stale* tag for one poll interval but never a wrong
-``(digest, xml)`` pair.
+dispatch patterns, metrics labels and admission exemptions are all
+derived from it, so server and clients can never disagree about paths.
 
 Backpressure
 ------------
@@ -82,8 +69,21 @@ _MAX_HEADERS = 100
 
 _SERVER_NAME = "repro-registry/1.0"
 
-# backwards-compatible alias: the policy now lives in repro.service.admission
-_default_overload_policy = default_overload_policy
+
+async def _read_line(reader, what: str) -> bytes:
+    """One request or header line, refused beyond ``_MAX_LINE``.
+
+    Past the stream's buffer limit ``readline`` raises ``ValueError``
+    before the length can be checked; the peer gets the same 400 for
+    both.
+    """
+    try:
+        line = await reader.readline()
+    except ValueError:
+        raise ServiceProtocolError(f"{what} too long") from None
+    if len(line) > _MAX_LINE:
+        raise ServiceProtocolError(f"{what} too long")
+    return line
 
 
 @dataclass(frozen=True)
@@ -96,11 +96,7 @@ class ServiceConfig:
     executor_threads: int = 4
     max_body_bytes: int = 8 * 1024 * 1024
     idle_timeout_s: float = 30.0
-    overload_policy: FaultPolicy = field(default_factory=_default_overload_policy)
-    #: base URL of the primary this node replicates; None = primary
-    replica_of: Optional[str] = None
-    #: oplog poll period of a replica (bounds tag staleness)
-    replication_interval_s: float = 0.05
+    overload_policy: FaultPolicy = field(default_factory=default_overload_policy)
 
 
 @dataclass(frozen=True)
@@ -131,15 +127,9 @@ class RegistryServer:
     ):
         self.config = config or ServiceConfig()
         if store is None:
-            if self.config.replica_of is not None:
-                # replicas hold a tag directory (tags may point at blobs
-                # owned by other shards) and never self-seed: content
-                # arrives exclusively through the oplog
-                store = DescriptorStore(tag_directory=True)
-            else:
-                store = DescriptorStore()
-                if seed_catalog is None:
-                    seed_catalog = True
+            store = DescriptorStore()
+            if seed_catalog is None:
+                seed_catalog = True
         self.store = store
         if seed_catalog:
             self.store.seed_catalog()
@@ -149,12 +139,6 @@ class RegistryServer:
         self._gate = CapacityGate(
             self.config.max_queue, policy=self.config.overload_policy
         )
-        self._repl_task: Optional[asyncio.Task] = None
-        self.replication = {"pulls": 0, "ops_applied": 0, "errors": 0}
-
-    @property
-    def is_replica(self) -> bool:
-        return self.config.replica_of is not None
 
     # -- lifecycle ----------------------------------------------------------
     @property
@@ -179,17 +163,8 @@ class RegistryServer:
         self._server = await asyncio.start_server(
             self._handle_connection, self.config.host, self.config.port
         )
-        if self.is_replica:
-            self._repl_task = asyncio.ensure_future(self._replicate_forever())
 
     async def stop(self) -> None:
-        if self._repl_task is not None:
-            self._repl_task.cancel()
-            try:
-                await self._repl_task
-            except (asyncio.CancelledError, Exception):  # noqa: BLE001
-                pass
-            self._repl_task = None
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
@@ -197,49 +172,6 @@ class RegistryServer:
         if self._executor is not None:
             self._executor.shutdown(wait=False)
             self._executor = None
-
-    # -- replication (replicas only) -----------------------------------------
-    async def _replicate_forever(self) -> None:
-        """Pull the primary's oplog on a fixed cadence, forever.
-
-        A primary outage only pauses convergence: the replica keeps
-        serving whatever it already holds and resumes from its applied
-        sequence number once the primary answers again.
-        """
-        from repro.service.async_client import AsyncRegistryClient, RegistryEndpoint
-
-        endpoint = RegistryEndpoint.parse(
-            self.config.replica_of, retry_policy=None, cache_size=0
-        )
-        upstream = AsyncRegistryClient(endpoint)
-        try:
-            while True:
-                try:
-                    await self.replicate_once(upstream)
-                except Exception:  # noqa: BLE001 — primary down/overloaded
-                    self.replication["errors"] += 1
-                await asyncio.sleep(self.config.replication_interval_s)
-        finally:
-            await upstream.aclose()
-
-    async def replicate_once(self, upstream) -> int:
-        """One oplog pull+apply; returns the number of ops applied.
-
-        Exposed separately so tests can drive replication deterministically
-        instead of sleeping for poll intervals.
-        """
-        applied_total = 0
-        while True:
-            payload = await upstream.oplog(since=self.store.applied_seq)
-            ops = payload.get("ops", [])
-            if not ops:
-                break
-            applied_total += self.store.apply_ops(ops)
-            self.replication["pulls"] += 1
-            if self.store.applied_seq >= payload.get("head", 0):
-                break
-        self.replication["ops_applied"] += applied_total
-        return applied_total
 
     async def serve_forever(self) -> None:
         if self._server is None:
@@ -294,23 +226,19 @@ class RegistryServer:
 
     async def _read_request(self, reader) -> Optional[_Request]:
         line = await asyncio.wait_for(
-            reader.readline(), timeout=self.config.idle_timeout_s
+            _read_line(reader, "request line"), timeout=self.config.idle_timeout_s
         )
         if not line:
             return None
-        if len(line) > _MAX_LINE:
-            raise ServiceProtocolError("request line too long")
         parts = line.decode("latin-1").strip().split()
         if len(parts) != 3 or not parts[2].startswith("HTTP/"):
             raise ServiceProtocolError(f"malformed request line: {line[:80]!r}")
         method, target, _version = parts
         headers: dict[str, str] = {}
         for _ in range(_MAX_HEADERS):
-            raw = await reader.readline()
+            raw = await _read_line(reader, "header line")
             if raw in (b"\r\n", b"\n", b""):
                 break
-            if len(raw) > _MAX_LINE:
-                raise ServiceProtocolError("header line too long")
             name, sep, value = raw.decode("latin-1").partition(":")
             if not sep:
                 raise ServiceProtocolError(f"malformed header: {raw[:80]!r}")
@@ -357,7 +285,7 @@ class RegistryServer:
         await writer.drain()
 
     # -- routing / dispatch --------------------------------------------------
-    def _build_routes(self) -> list[tuple[str, re.Pattern, str, Callable, bool]]:
+    def _build_routes(self) -> list[tuple[str, re.Pattern, str, Callable]]:
         """Compile dispatch entries from the shared protocol route table.
 
         Every :data:`repro.service.protocol.ROUTES` entry must have a
@@ -367,13 +295,11 @@ class RegistryServer:
         routes = []
         for route in protocol.ROUTES:
             handler = getattr(self, f"_ep_{route.name}")
-            routes.append(
-                (route.method, route.pattern(), route.label, handler, route.write)
-            )
+            routes.append((route.method, route.pattern(), route.label, handler))
         return routes
 
     #: endpoints that must answer even when the service sheds load
-    #: (health/metrics plane + the replication pull)
+    #: (the health/metrics plane)
     _UNGATED = frozenset(r.label for r in protocol.ROUTES if not r.gated)
 
     #: request header carrying the caller's trace id (lower-cased by the
@@ -395,35 +321,14 @@ class RegistryServer:
             status, payload = protocol.error_payload(exc)
             return endpoint, self._echo_trace(trace_id, _Response(status, payload))
         path_matched = False
-        is_write = False
-        for method, pattern, label, fn, write in self._routes:
+        for method, pattern, label, fn in self._routes:
             match = pattern.match(request.path)
             if match is None:
                 continue
             path_matched = True
             if method == request.method:
                 handler, endpoint, params = fn, label, match.groupdict()
-                is_write = write
                 break
-        if handler is not None and is_write and self.is_replica:
-            return endpoint, self._echo_trace(
-                trace_id,
-                _Response(
-                    403,
-                    {
-                        "error": {
-                            "code": "read-only-replica",
-                            "type": "ServiceError",
-                            "message": (
-                                f"{endpoint} mutates the store, but this node is"
-                                f" a read replica of {self.config.replica_of};"
-                                f" send writes to the primary"
-                            ),
-                            "status": 403,
-                        }
-                    },
-                ),
-            )
         if handler is None:
             status = 405 if path_matched else 404
             code = "method-not-allowed" if path_matched else "not-found"
@@ -521,7 +426,7 @@ class RegistryServer:
             {
                 "service": "repro platform registry",
                 "version": "1.0",
-                "endpoints": sorted(label for _, _, label, _, _ in self._routes),
+                "endpoints": sorted(label for _, _, label, _ in self._routes),
                 "store": self.store.stats(),
             },
         )
@@ -532,12 +437,6 @@ class RegistryServer:
     def _ep_metrics(self, request: _Request) -> _Response:
         payload = self.metrics.snapshot()
         payload["store"] = self.store.stats()
-        if self.is_replica:
-            payload["replication"] = {
-                "replica_of": self.config.replica_of,
-                "applied_seq": self.store.applied_seq,
-                **self.replication,
-            }
         return _Response(200, payload)
 
     def _ep_list(self, request: _Request) -> _Response:
@@ -579,8 +478,7 @@ class RegistryServer:
         return _Response(200, {"name": name, "digest": digest, "deleted": True})
 
     def _ep_resolve(self, request: _Request, name: str) -> _Response:
-        """Tag/prefix → digest without shipping the blob (the cluster
-        client's cross-shard hop)."""
+        """Tag/prefix → digest without shipping the blob."""
         return _Response(200, {"name": name, "digest": self.store.resolve(name)})
 
     def _ep_blob_put(self, request: _Request, digest: str) -> _Response:
@@ -596,17 +494,6 @@ class RegistryServer:
             201 if created else 200,
             {"digest": stored_digest, "created": created},
         )
-
-    def _ep_oplog(self, request: _Request) -> _Response:
-        try:
-            since = int(request.query.get("since", "0"))
-            limit = int(request.query.get("limit", "1000"))
-        except ValueError:
-            raise ServiceProtocolError(
-                "GET /oplog expects integer 'since'/'limit' parameters"
-            ) from None
-        ops, head = self.store.ops_since(since, limit=limit)
-        return _Response(200, {"since": since, "head": head, "ops": ops})
 
     def _ep_query(self, request: _Request, ref: str) -> _Response:
         return _Response(

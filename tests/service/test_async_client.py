@@ -1,5 +1,5 @@
 """Async client behaviour: endpoints, coalescing, immutable caching,
-protocol negotiation, and the deprecated-signature shim."""
+protocol negotiation, and connection-pool slots on failed calls."""
 
 import asyncio
 import http.client
@@ -14,7 +14,6 @@ from repro.service import (
     RegistryEndpoint,
     ServerThread,
 )
-from repro.service.async_client import default_retry_policy
 
 
 @pytest.fixture(scope="module")
@@ -50,34 +49,6 @@ class TestRegistryEndpoint:
     def test_default_retry_policy_installed(self):
         assert RegistryEndpoint().retry_policy.max_retries == 3
         assert RegistryEndpoint(retry_policy=None).retry_policy is None
-
-
-class TestDeprecatedShim:
-    """The old keyword signature must keep working, warn, and forward
-    faithfully onto the endpoint."""
-
-    def test_timeout_kwarg_warns_and_forwards(self):
-        with pytest.warns(DeprecationWarning, match="timeout"):
-            client = RegistryClient("http://127.0.0.1:9", timeout=0.25)
-        assert client.endpoint.timeout == 0.25
-        assert client.timeout == 0.25
-
-    def test_retry_policy_kwarg_warns_and_forwards(self):
-        policy = default_retry_policy()
-        with pytest.warns(DeprecationWarning, match="retry_policy"):
-            client = RegistryClient("http://127.0.0.1:9", retry_policy=policy)
-        assert client.retry_policy is policy
-
-    def test_retry_policy_none_disables(self):
-        with pytest.warns(DeprecationWarning):
-            client = RegistryClient("http://127.0.0.1:9", retry_policy=None)
-        assert client.retry_policy is None
-
-    def test_new_style_does_not_warn(self, recwarn):
-        RegistryClient(RegistryEndpoint(host="127.0.0.1", port=9))
-        assert not [
-            w for w in recwarn.list if issubclass(w.category, DeprecationWarning)
-        ]
 
 
 class TestCoalescing:
@@ -279,3 +250,82 @@ class TestPoolAndFacade:
         async_record = run(fetch_async())
         assert sync_record == async_record
         sync_client.close()
+
+
+_OK_BODY = b'{"status":"ok"}'
+_OK_REPLY = (
+    b"HTTP/1.1 200 OK\r\nX-Repro-Protocol: 2\r\n"
+    b"Content-Length: %d\r\n\r\n" % len(_OK_BODY)
+) + _OK_BODY
+
+
+async def _stub_peer(reply_for):
+    """A raw peer answering each request with ``reply_for(path)``; ``None``
+    leaves the request unanswered until the client hangs up."""
+
+    async def handle(reader, writer):
+        try:
+            while True:
+                head = await reader.readuntil(b"\r\n\r\n")
+                reply = reply_for(head.split(b" ", 2)[1].decode())
+                if reply is None:
+                    await reader.read()
+                    return
+                writer.write(reply)
+                await writer.drain()
+        except (asyncio.IncompleteReadError, ConnectionError):
+            pass
+        finally:
+            writer.close()
+
+    server = await asyncio.start_server(handle, "127.0.0.1", 0)
+    endpoint = RegistryEndpoint(
+        port=server.sockets[0].getsockname()[1], pool_size=2, retry_policy=None
+    )
+    return server, AsyncRegistryClient(endpoint)
+
+
+class TestPoolSlots:
+    """A reply the client cannot parse, or a caller that gives up, must
+    hand its connection slot back; with every slot leaked the next call
+    would wait in the pool until the caller's own timeout."""
+
+    @pytest.mark.parametrize(
+        "reply",
+        [
+            b"HTTP/1.1 abc OK\r\nContent-Length: 0\r\n\r\n",
+            b"HTTP/1.1 200 OK\r\nContent-Length: nope\r\n\r\n",
+            b"GARBAGE\r\n\r\n",
+        ],
+        ids=["status-code", "content-length", "status-line"],
+    )
+    def test_junk_replies_raise_and_free_the_slot(self, reply):
+        async def scenario():
+            server, client = await _stub_peer(lambda path: reply)
+            try:
+                for _ in range(client.endpoint.pool_size + 1):
+                    with pytest.raises(ServiceError):
+                        await asyncio.wait_for(client.health(), 5.0)
+            finally:
+                await client.aclose()
+                server.close()
+
+        run(scenario())
+
+    def test_cancelled_calls_free_the_slot(self):
+        async def scenario():
+            server, client = await _stub_peer(
+                lambda path: _OK_REPLY if path == "/healthz" else None
+            )
+            try:
+                for _ in range(client.endpoint.pool_size):
+                    with pytest.raises(asyncio.TimeoutError):
+                        await asyncio.wait_for(
+                            client.request("GET", "/stalls", coalesce=False), 0.2
+                        )
+                return await asyncio.wait_for(client.health(), 5.0)
+            finally:
+                await client.aclose()
+                server.close()
+
+        assert run(scenario()) == {"status": "ok"}

@@ -142,6 +142,30 @@ class TestProtocolLevel:
         assert data.startswith(b"HTTP/1.1 400")
         assert b'"bad-request"' in data
 
+    @pytest.mark.parametrize(
+        "request_bytes",
+        [
+            b"GET /" + b"a" * 70_000 + b" HTTP/1.1\r\n\r\n",
+            b"GET /healthz HTTP/1.1\r\nX-Big: " + b"a" * 70_000 + b"\r\n\r\n",
+        ],
+        ids=["request-line", "header-line"],
+    )
+    def test_line_past_stream_limit_gets_400(self, service, request_bytes):
+        """A line longer than the stream's 64 KiB buffer limit is refused
+        like any over-long line, not dropped by a crashed handler."""
+        import socket
+
+        with socket.create_connection(
+            (service.host, service.port), timeout=10
+        ) as sock:
+            sock.sendall(request_bytes)
+            data = b""
+            while chunk := sock.recv(65536):
+                data += chunk
+        assert data.startswith(b"HTTP/1.1 400")
+        assert b'"bad-request"' in data
+        assert b"Connection: close" in data
+
     def test_oversized_body_rejected(self, service):
         status, body, _ = raw_request(
             service,

@@ -4,7 +4,8 @@ import threading
 
 import pytest
 
-from repro.service import LRUCache, ServiceMetrics, percentile
+from repro.obs.digest import percentile
+from repro.service import LRUCache, ServiceMetrics
 
 
 class TestLRUCache:
