@@ -17,13 +17,9 @@ from typing import Iterable, Optional
 
 from repro.analysis.diagnostics import Finding, Severity, SourceLocation
 from repro.errors import PragmaSyntaxError
-from repro.cascabel.lexer import extract_call, extract_function, scan_pragmas
-from repro.cascabel.pragmas import TaskPragma, parse_pragma
-from repro.cascabel.program import (
-    AnnotatedProgram,
-    TaskDefinition,
-    TaskExecution,
-)
+from repro.cascabel.frontend import bind_directives
+from repro.cascabel.lexer import LexedUnit
+from repro.cascabel.program import AnnotatedProgram
 
 __all__ = ["CascabelContext", "build_context", "RULES"]
 
@@ -50,29 +46,20 @@ def build_context(source: str, *, filename: str = "<string>") -> CascabelContext
     """Parse for lint: collect syntax failures instead of raising."""
     program = AnnotatedProgram(source=source, filename=filename)
     ctx = CascabelContext(source=source, filename=filename, program=program)
+    unit = LexedUnit(source)
     try:
-        directives = scan_pragmas(source)
+        directives = unit.pragmas()
     except PragmaSyntaxError as exc:
         ctx.syntax_findings.append(_syntax_finding(exc, filename))
         return ctx
-    for directive in directives:
-        try:
-            pragma = parse_pragma(directive)
-            if isinstance(pragma, TaskPragma):
-                function = extract_function(source, directive.end_line + 1)
-                program.definitions.append(
-                    TaskDefinition(pragma=pragma, function=function)
-                )
-            else:
-                call = extract_call(source, directive.end_line + 1)
-                program.executions.append(
-                    TaskExecution(pragma=pragma, call=call)
-                )
-        except PragmaSyntaxError as exc:
-            ctx.syntax_findings.append(
-                _syntax_finding(exc, filename, fallback_line=directive.line,
-                                fallback_column=directive.column)
-            )
+
+    def record(exc: PragmaSyntaxError, directive) -> None:
+        ctx.syntax_findings.append(
+            _syntax_finding(exc, filename, fallback_line=directive.line,
+                            fallback_column=directive.column)
+        )
+
+    bind_directives(unit, directives, program, on_error=record)
     return ctx
 
 

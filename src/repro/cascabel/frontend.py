@@ -8,13 +8,15 @@ invocation", §IV-A).
 
 from __future__ import annotations
 
+from typing import Callable, Optional
 
-from repro.cascabel.lexer import extract_call, extract_function, scan_pragmas
-from repro.cascabel.pragmas import ExecutePragma, TaskPragma, parse_pragma
+from repro.errors import PragmaSyntaxError
+from repro.cascabel.lexer import LexedUnit, PragmaDirective
+from repro.cascabel.pragmas import TaskPragma, parse_pragma
 from repro.cascabel.program import AnnotatedProgram, TaskDefinition, TaskExecution
 from repro.obs import spans as _obs
 
-__all__ = ["parse_program", "parse_program_file"]
+__all__ = ["parse_program", "parse_program_file", "bind_directives"]
 
 
 def parse_program(
@@ -40,21 +42,52 @@ def _parse_program(
 ) -> AnnotatedProgram:
     program = AnnotatedProgram(source=source, filename=filename)
     with _obs.span("cascabel.lex"):
-        directives = list(scan_pragmas(source))
+        unit = LexedUnit(source)
+        directives = unit.pragmas()
     with _obs.span("cascabel.parse"):
-        for directive in directives:
-            pragma = parse_pragma(directive)
-            if isinstance(pragma, TaskPragma):
-                function = extract_function(source, directive.end_line + 1)
-                program.definitions.append(
-                    TaskDefinition(pragma=pragma, function=function)
-                )
-            elif isinstance(pragma, ExecutePragma):
-                call = extract_call(source, directive.end_line + 1)
-                program.executions.append(TaskExecution(pragma=pragma, call=call))
+        bind_directives(unit, directives, program)
         if validate:
             program.validate()
     return program
+
+
+def bind_directives(
+    unit: LexedUnit,
+    directives: list[PragmaDirective],
+    program: AnnotatedProgram,
+    *,
+    on_error: Optional[
+        Callable[[PragmaSyntaxError, PragmaDirective], None]
+    ] = None,
+) -> None:
+    """Bind each directive of ``unit`` to the code that follows it.
+
+    A task pragma binds to the next function definition, an execute
+    pragma to the next call statement; both are appended to ``program``
+    in document order.  A malformed directive raises
+    :class:`~repro.errors.PragmaSyntaxError`, or, given ``on_error``, is
+    handed to ``on_error(exc, directive)`` and skipped.
+    """
+    for directive in directives:
+        try:
+            pragma = parse_pragma(directive)
+            if isinstance(pragma, TaskPragma):
+                program.definitions.append(
+                    TaskDefinition(
+                        pragma=pragma,
+                        function=unit.function_at(directive.end_line + 1),
+                    )
+                )
+            else:
+                program.executions.append(
+                    TaskExecution(
+                        pragma=pragma, call=unit.call_at(directive.end_line + 1)
+                    )
+                )
+        except PragmaSyntaxError as exc:
+            if on_error is None:
+                raise
+            on_error(exc, directive)
 
 
 def parse_program_file(path, **kwargs) -> AnnotatedProgram:

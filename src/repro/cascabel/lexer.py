@@ -10,7 +10,10 @@ slice over raw source text, keeping line numbers for diagnostics.
 
 from __future__ import annotations
 
+import re
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 
 from repro.errors import PragmaSyntaxError
 
@@ -19,6 +22,7 @@ __all__ = [
     "PragmaDirective",
     "FunctionDef",
     "CallStatement",
+    "LexedUnit",
     "strip_comments",
     "scan_pragmas",
     "extract_function",
@@ -65,106 +69,183 @@ class CallStatement:
     column: int = 1  # 1-based column where the statement starts
 
 
+#: one C lexeme that can hide a comment marker: a comment, or a string or
+#: character literal (backslash escapes included).  An unterminated
+#: comment or literal runs to the end of the input.
+_COMMENT_OR_LITERAL = re.compile(
+    r"""//[^\n]*
+      | /\*.*?(?:\*/|\Z)
+      | "(?:[^"\\]|\\.?)*"?
+      | '(?:[^'\\]|\\.?)*'?
+    """,
+    re.DOTALL | re.VERBOSE,
+)
+_NOT_NEWLINE = re.compile(r"[^\n]")
+
+
+def _blank_comment(match: re.Match) -> str:
+    text = match.group()
+    if text[0] != "/":
+        return text  # a literal stays as it is
+    return _NOT_NEWLINE.sub(" ", text)
+
+
 def strip_comments(source: str) -> str:
     """Replace comments with spaces (preserving newlines and offsets).
 
     Handles ``//`` and ``/* */`` while respecting string and character
     literals.
     """
-    out = []
-    i = 0
-    n = len(source)
-    state = "code"  # code | line_comment | block_comment | string | char
-    while i < n:
-        c = source[i]
-        nxt = source[i + 1] if i + 1 < n else ""
-        if state == "code":
-            if c == "/" and nxt == "/":
-                state = "line_comment"
-                out.append("  ")
-                i += 2
-                continue
-            if c == "/" and nxt == "*":
-                state = "block_comment"
-                out.append("  ")
-                i += 2
-                continue
-            if c == '"':
-                state = "string"
-            elif c == "'":
-                state = "char"
-            out.append(c)
-        elif state == "line_comment":
-            if c == "\n":
-                state = "code"
-                out.append(c)
-            else:
-                out.append(" ")
-        elif state == "block_comment":
-            if c == "*" and nxt == "/":
-                state = "code"
-                out.append("  ")
-                i += 2
-                continue
-            out.append(c if c == "\n" else " ")
-        elif state == "string":
-            out.append(c)
-            if c == "\\" and nxt:
-                out.append(nxt)
-                i += 2
-                continue
-            if c == '"':
-                state = "code"
-        elif state == "char":
-            out.append(c)
-            if c == "\\" and nxt:
-                out.append(nxt)
-                i += 2
-                continue
-            if c == "'":
-                state = "code"
-        i += 1
-    return "".join(out)
+    return _COMMENT_OR_LITERAL.sub(_blank_comment, source)
+
+
+class LexedUnit:
+    """A translation unit lexed once.
+
+    Holds the comment-stripped text and the offset of every line, so the
+    pragma scan and every function/call extraction of one parse share a
+    single pass over the source.
+    """
+
+    __slots__ = ("source", "clean", "lines", "line_starts")
+
+    def __init__(self, source: str):
+        self.source = source
+        self.clean = strip_comments(source)
+        self.lines = self.clean.split("\n")
+        #: offset of the first character of each line, then one past the end
+        self.line_starts = list(
+            accumulate((len(line) + 1 for line in self.lines), initial=0)
+        )
+
+    def _line_offset(self, line: int) -> int:
+        """Offset of 1-based ``line`` (one past the end beyond the last)."""
+        return self.line_starts[min(max(line, 1), len(self.lines) + 1) - 1]
+
+    def _line_of(self, offset: int) -> int:
+        """1-based line holding ``offset``."""
+        return bisect_right(self.line_starts, offset)
+
+    def pragmas(self, *, prefix: str = "cascabel") -> list[PragmaDirective]:
+        """All ``#pragma <prefix> ...`` directives, continuations joined."""
+        lines = self.lines
+        directives = []
+        i = 0
+        while i < len(lines):
+            stripped = lines[i].strip()
+            if stripped.startswith("#pragma"):
+                start = i
+                column = lines[i].index("#") + 1
+                text = stripped
+                while text.endswith("\\"):
+                    text = text[:-1].rstrip()
+                    i += 1
+                    if i >= len(lines):
+                        raise PragmaSyntaxError(
+                            "pragma continuation at end of file", line=start + 1
+                        )
+                    text += " " + lines[i].strip()
+                body = text[len("#pragma") :].strip()
+                if body.split(None, 1)[0:1] == [prefix]:
+                    directives.append(
+                        PragmaDirective(
+                            text=" ".join(body.split()),
+                            line=start + 1,
+                            end_line=i + 1,
+                            column=column,
+                        )
+                    )
+            i += 1
+        return directives
+
+    def function_at(self, after_line: int) -> FunctionDef:
+        """The first function definition at or after ``after_line``.
+
+        Scans for ``<decl>(<params>) {<body>}``; the body is
+        brace-matched.
+        """
+        text = self.clean
+        offset = self._line_offset(after_line)
+        i = offset
+        # find the opening parenthesis of the parameter list
+        paren = text.find("(", i)
+        while paren != -1:
+            # candidate: walk back over the declarator to check it's plausible
+            head = text[i:paren].strip()
+            if head and not head.endswith((";", "}", "{")):
+                break
+            i = paren + 1
+            paren = text.find("(", i)
+        if paren == -1:
+            raise PragmaSyntaxError(
+                "no function definition found after task pragma", line=after_line
+            )
+
+        close = _match(text, paren, "(", ")")
+        brace = text.find("{", close)
+        semi = text.find(";", close)
+        if brace == -1 or (semi != -1 and semi < brace):
+            raise PragmaSyntaxError(
+                "task pragma must precede a function *definition* (body required)",
+                line=after_line,
+            )
+        end = _match(text, brace, "{", "}")
+
+        head = " ".join(text[offset:paren].split())
+        if not head:
+            raise PragmaSyntaxError("cannot parse function header", line=after_line)
+        name = head.split()[-1].lstrip("*&")
+        return_type = head[: head.rfind(name.split("::")[-1])].strip() or "void"
+        # strip any leading declarator noise from the return type
+        params_text = text[paren + 1 : close].strip()
+        params = tuple(_split_params(params_text))
+        param_names = tuple(_param_name(p) for p in params)
+        return FunctionDef(
+            return_type=return_type,
+            name=name,
+            params=params,
+            param_names=param_names,
+            body=self.source[brace : end + 1],
+            start_line=self._line_of(offset),
+            end_line=self._line_of(end),
+        )
+
+    def call_at(self, after_line: int) -> CallStatement:
+        """The first function-call statement at or after ``after_line``."""
+        text = self.clean
+        offset = self._line_offset(after_line)
+        paren = text.find("(", offset)
+        if paren == -1:
+            raise PragmaSyntaxError(
+                "no call statement found after execute pragma", line=after_line
+            )
+        close = _match(text, paren, "(", ")")
+        head = text[offset:paren].strip()
+        if not head:
+            raise PragmaSyntaxError(
+                "cannot parse call statement after execute pragma", line=after_line
+            )
+        name = head.split()[-1].lstrip("*&")
+        args = tuple(a.strip() for a in _split_params(text[paren + 1 : close]))
+        # column of the statement's first non-whitespace character on its line
+        stmt_start = offset
+        while stmt_start < paren and text[stmt_start].isspace():
+            stmt_start += 1
+        column = stmt_start - self.line_starts[self._line_of(stmt_start) - 1] + 1
+        stmt_end = text.find(";", close)
+        stmt = text[offset : stmt_end + 1 if stmt_end != -1 else close + 1].strip()
+        return CallStatement(
+            name=name,
+            arguments=args,
+            text=stmt,
+            line=self._line_of(offset),
+            column=column,
+        )
 
 
 def scan_pragmas(source: str, *, prefix: str = "cascabel") -> list[PragmaDirective]:
     """All ``#pragma <prefix> ...`` directives, continuations joined."""
-    clean = strip_comments(source)
-    lines = clean.split("\n")
-    directives = []
-    i = 0
-    while i < len(lines):
-        stripped = lines[i].strip()
-        if stripped.startswith("#pragma"):
-            start = i
-            column = lines[i].index("#") + 1
-            text = stripped
-            while text.endswith("\\"):
-                text = text[:-1].rstrip()
-                i += 1
-                if i >= len(lines):
-                    raise PragmaSyntaxError(
-                        "pragma continuation at end of file", line=start + 1
-                    )
-                text += " " + lines[i].strip()
-            body = text[len("#pragma") :].strip()
-            if body.split(None, 1)[0:1] == [prefix]:
-                directives.append(
-                    PragmaDirective(
-                        text=" ".join(body.split()),
-                        line=start + 1,
-                        end_line=i + 1,
-                        column=column,
-                    )
-                )
-        i += 1
-    return directives
-
-
-def _skip_ws(text: str, i: int) -> int:
-    while i < len(text) and text[i].isspace():
-        i += 1
-    return i
+    return LexedUnit(source).pragmas(prefix=prefix)
 
 
 def extract_function(source: str, after_line: int) -> FunctionDef:
@@ -173,91 +254,12 @@ def extract_function(source: str, after_line: int) -> FunctionDef:
     Scans comment-stripped source for ``<decl>(<params>) {<body>}``; the
     body is brace-matched.
     """
-    clean = strip_comments(source)
-    lines = clean.split("\n")
-    # offset of the first character of after_line
-    offset = sum(len(l) + 1 for l in lines[: after_line - 1])
-    text = clean
-
-    i = offset
-    # find the opening parenthesis of the parameter list
-    paren = text.find("(", i)
-    while paren != -1:
-        # candidate: walk back over the declarator to check it's plausible
-        head = text[i:paren].strip()
-        if head and not head.endswith((";", "}", "{")):
-            break
-        i = paren + 1
-        paren = text.find("(", i)
-    if paren == -1:
-        raise PragmaSyntaxError(
-            "no function definition found after task pragma", line=after_line
-        )
-
-    close = _match(text, paren, "(", ")")
-    brace = text.find("{", close)
-    semi = text.find(";", close)
-    if brace == -1 or (semi != -1 and semi < brace):
-        raise PragmaSyntaxError(
-            "task pragma must precede a function *definition* (body required)",
-            line=after_line,
-        )
-    end = _match(text, brace, "{", "}")
-
-    head = " ".join(text[offset:paren].split())
-    if not head:
-        raise PragmaSyntaxError("cannot parse function header", line=after_line)
-    name = head.split()[-1].lstrip("*&")
-    return_type = head[: head.rfind(name.split("::")[-1])].strip() or "void"
-    # strip any leading declarator noise from the return type
-    params_text = text[paren + 1 : close].strip()
-    params = tuple(_split_params(params_text))
-    param_names = tuple(_param_name(p) for p in params)
-
-    start_line = text.count("\n", 0, offset) + 1
-    end_line = text.count("\n", 0, end) + 1
-    return FunctionDef(
-        return_type=return_type,
-        name=name,
-        params=params,
-        param_names=param_names,
-        body=source[brace : end + 1],
-        start_line=start_line,
-        end_line=end_line,
-    )
+    return LexedUnit(source).function_at(after_line)
 
 
 def extract_call(source: str, after_line: int) -> CallStatement:
     """The first function-call statement at or after ``after_line``."""
-    clean = strip_comments(source)
-    lines = clean.split("\n")
-    offset = sum(len(l) + 1 for l in lines[: after_line - 1])
-    text = clean
-    paren = text.find("(", offset)
-    if paren == -1:
-        raise PragmaSyntaxError(
-            "no call statement found after execute pragma", line=after_line
-        )
-    close = _match(text, paren, "(", ")")
-    head = text[offset:paren].strip()
-    if not head:
-        raise PragmaSyntaxError(
-            "cannot parse call statement after execute pragma", line=after_line
-        )
-    name = head.split()[-1].lstrip("*&")
-    args = tuple(a.strip() for a in _split_params(text[paren + 1 : close]))
-    line = text.count("\n", 0, offset) + 1
-    # column of the statement's first non-whitespace character on its line
-    stmt_start = offset
-    while stmt_start < paren and text[stmt_start].isspace():
-        stmt_start += 1
-    line_start = text.rfind("\n", 0, stmt_start) + 1
-    column = stmt_start - line_start + 1
-    stmt_end = text.find(";", close)
-    stmt = text[offset : stmt_end + 1 if stmt_end != -1 else close + 1].strip()
-    return CallStatement(
-        name=name, arguments=args, text=stmt, line=line, column=column
-    )
+    return LexedUnit(source).call_at(after_line)
 
 
 def parse_signature(decl: str) -> tuple[str, str, tuple[str, ...]]:

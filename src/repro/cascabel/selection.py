@@ -60,15 +60,18 @@ def target_available(target: str, platform: Platform) -> bool:
     executed on all systems where an appropriate C/C++ compiler is
     available", §IV-A), not only on x86 hardware.
     """
+    return _target_in(target, platform.architectures(), bool(platform.masters))
+
+
+def _target_in(target: str, present: set[str], has_masters: bool) -> bool:
+    """:func:`target_available` over a platform's precomputed
+    architecture set and whether it has a Master PU."""
     architectures = TARGET_ARCHITECTURES.get(target)
     if architectures is None:
         return False
-    present = platform.architectures()
     if any(arch in present for arch in architectures):
         return True
-    if target in ("x86", "x86_64") and platform.masters:
-        return True
-    return False
+    return target in ("x86", "x86_64") and has_masters
 
 
 def eligible_variants(
@@ -81,14 +84,13 @@ def eligible_variants(
     """
     eligible: list[TaskVariant] = []
     pruned: dict[str, str] = {}
+    present = platform.architectures()
+    has_masters = bool(platform.masters)
     for variant in variants:
-        usable_targets = [
-            t for t in variant.targets if target_available(t, platform)
-        ]
-        if not usable_targets:
+        if not any(_target_in(t, present, has_masters) for t in variant.targets):
             pruned[variant.name] = (
                 f"no hardware for targets {list(variant.targets)}"
-                f" (platform architectures: {sorted(platform.architectures())})"
+                f" (platform architectures: {sorted(present)})"
             )
             continue
         if variant.required_pattern is not None and not pattern_matches(

@@ -44,17 +44,8 @@ class AccessMode(str, Enum):
 
     @classmethod
     def parse(cls, text: str) -> "AccessMode":
-        lowered = str(text).strip().lower()
-        aliases = {
-            "r": cls.READ,
-            "read": cls.READ,
-            "w": cls.WRITE,
-            "write": cls.WRITE,
-            "rw": cls.READWRITE,
-            "readwrite": cls.READWRITE,
-        }
         try:
-            return aliases[lowered]
+            return _ACCESS_MODE_ALIASES[str(text).strip().lower()]
         except KeyError:
             raise CoherenceError(
                 f"unknown access mode {text!r}; use read|write|readwrite"
@@ -65,6 +56,15 @@ for _mode in AccessMode:
     _mode.reads = _mode in (AccessMode.READ, AccessMode.READWRITE)
     _mode.writes = _mode in (AccessMode.WRITE, AccessMode.READWRITE)
 del _mode
+
+_ACCESS_MODE_ALIASES = {
+    "r": AccessMode.READ,
+    "read": AccessMode.READ,
+    "w": AccessMode.WRITE,
+    "write": AccessMode.WRITE,
+    "rw": AccessMode.READWRITE,
+    "readwrite": AccessMode.READWRITE,
+}
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,10 @@ Hot paths
 * parsed :class:`~repro.model.platform.Platform` objects are kept in a
   digest-keyed LRU (shared with :mod:`repro.pdl.catalog`'s module cache,
   so catalog loads and registry fetches never parse the same bytes
-  twice), and
+  twice).  The LRU holds the object the parse produced, and internal
+  reads such as pre-selection use it in place without a copy; only
+  :meth:`DescriptorStore.platform` (and the query, diff and lint verbs
+  built on it) hands out copies;
 * pre-selection results are memoized under
   ``(platform digest, program digest, options)``.  Keys embed the
   *digest*, never the tag, so a tag move can't serve a stale result; the
@@ -134,9 +137,10 @@ class DescriptorStore:
             previous = self._tags.get(name)
             moved = previous is not None and previous != digest
             self._tags[name] = digest
-        # warm the parse cache with the already-parsed document
+        # warm the parse cache with the already-parsed document, which
+        # parse_cached handed over as our own copy
         if digest not in self._platforms:
-            self._platforms.put(digest, platform.copy())
+            self._platforms.put(digest, platform)
         if moved:
             self._invalidate_preselect(previous)
         return PublishResult(name=name, digest=digest, created=created, moved=moved)
@@ -186,7 +190,7 @@ class DescriptorStore:
             if created:
                 self._blobs[digest] = canonical
         if digest not in self._platforms:
-            self._platforms.put(digest, platform.copy())
+            self._platforms.put(digest, platform)
         return digest, created
 
     def retag(self, name: str, ref: str) -> PublishResult:
@@ -261,15 +265,18 @@ class DescriptorStore:
         Returns an independent copy; mutating it cannot corrupt the
         cache or other callers.
         """
-        digest = self.resolve(ref)
+        return self._master(self.resolve(ref)).copy()
+
+    def _master(self, digest: str) -> Platform:
+        """The LRU's own parsed copy of a stored version: read it, never
+        mutate it or hand it out."""
         master = self._platforms.get(digest)
         hit = master is not None
         self.metrics.record_platform_cache(hit)
         if not hit:
-            text = self.xml(digest)
-            master = parse_cached(text, digest=digest)
-            self._platforms.put(digest, master.copy())
-        return master.copy()
+            master = parse_cached(self.xml(digest), digest=digest)
+            self._platforms.put(digest, master)
+        return master
 
     def tags(self) -> dict[str, str]:
         with self._lock:
@@ -364,9 +371,11 @@ class DescriptorStore:
             from repro.cascabel.driver import register_builtin_variants
 
             register_builtin_variants(repository, program)
-        platform = self.platform(digest)
         report = preselect(
-            repository, program, platform, require_fallback=require_fallback
+            repository,
+            program,
+            self._master(digest),
+            require_fallback=require_fallback,
         )
         payload = report.to_payload()
         payload["digest"] = digest

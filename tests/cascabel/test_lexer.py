@@ -1,8 +1,11 @@
 """Unit tests for the C-source scanner."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import PragmaSyntaxError
+from repro.cascabel.cli import available_samples, sample_source
 from repro.cascabel.lexer import (
     extract_call,
     extract_function,
@@ -10,6 +13,70 @@ from repro.cascabel.lexer import (
     scan_pragmas,
     strip_comments,
 )
+
+
+def reference_strip_comments(source: str) -> str:
+    """Character-at-a-time state machine: the executable spec that
+    :func:`strip_comments` must match byte for byte."""
+    out = []
+    i = 0
+    n = len(source)
+    state = "code"  # code | line_comment | block_comment | string | char
+    while i < n:
+        c = source[i]
+        nxt = source[i + 1] if i + 1 < n else ""
+        if state == "code":
+            if c == "/" and nxt == "/":
+                state = "line_comment"
+                out.append("  ")
+                i += 2
+                continue
+            if c == "/" and nxt == "*":
+                state = "block_comment"
+                out.append("  ")
+                i += 2
+                continue
+            if c == '"':
+                state = "string"
+            elif c == "'":
+                state = "char"
+            out.append(c)
+        elif state == "line_comment":
+            if c == "\n":
+                state = "code"
+                out.append(c)
+            else:
+                out.append(" ")
+        elif state == "block_comment":
+            if c == "*" and nxt == "/":
+                state = "code"
+                out.append("  ")
+                i += 2
+                continue
+            out.append(c if c == "\n" else " ")
+        elif state == "string":
+            out.append(c)
+            if c == "\\" and nxt:
+                out.append(nxt)
+                i += 2
+                continue
+            if c == '"':
+                state = "code"
+        elif state == "char":
+            out.append(c)
+            if c == "\\" and nxt:
+                out.append(nxt)
+                i += 2
+                continue
+            if c == "'":
+                state = "code"
+        i += 1
+    return "".join(out)
+
+
+#: every character that opens, closes or escapes a C comment or literal,
+#: plus a few neutral ones
+C_LEXEME_ALPHABET = "/*\"'\\\na#(){};"
 
 
 class TestStripComments:
@@ -44,6 +111,25 @@ class TestStripComments:
         src = "char c = '/'; char d = '*'; // gone"
         out = strip_comments(src)
         assert "'/'" in out and "'*'" in out and "gone" not in out
+
+    @pytest.mark.parametrize("source", [
+        "a /* never closed\n still comment",
+        'x = "never closed // not a comment\n /* nor this',
+        "c = 'never closed",
+        's = "ends in a backslash \\',
+    ])
+    def test_unterminated_runs_to_end_of_input(self, source):
+        assert strip_comments(source) == reference_strip_comments(source)
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.text(alphabet=C_LEXEME_ALPHABET, max_size=60))
+    def test_matches_reference_state_machine(self, source):
+        assert strip_comments(source) == reference_strip_comments(source)
+
+    @pytest.mark.parametrize("name", available_samples())
+    def test_matches_reference_on_samples(self, name):
+        source = sample_source(name)
+        assert strip_comments(source) == reference_strip_comments(source)
 
 
 class TestScanPragmas:

@@ -147,7 +147,25 @@ class TestEligibleVariants:
             repo.variants("Idgemm"), cpu_platform
         )
         assert [v.name for v in eligible] == ["dgemm_cpu"]
-        assert "no hardware" in pruned["dgemm_gpu"]
+        assert pruned == {
+            "dgemm_gpu": "no hardware for targets ['cuda', 'opencl']"
+            " (platform architectures: ['x86_64'])",
+            "dgemm_spe": "no hardware for targets ['cellsdk']"
+            " (platform architectures: ['x86_64'])",
+        }
+
+    def test_platform_walked_once_per_call(self, cell_platform, monkeypatch):
+        repo, _ = repo_and_program()
+        walks = []
+        architectures = cell_platform.architectures
+
+        def counting_architectures():
+            walks.append(1)
+            return architectures()
+
+        monkeypatch.setattr(cell_platform, "architectures", counting_architectures)
+        eligible_variants(repo.variants("Idgemm"), cell_platform)
+        assert len(walks) == 1
 
 
 class TestDeterminism:

@@ -17,13 +17,16 @@ class TestAccessMode:
         ("r", AccessMode.READ), ("read", AccessMode.READ),
         ("w", AccessMode.WRITE), ("write", AccessMode.WRITE),
         ("rw", AccessMode.READWRITE), ("readwrite", AccessMode.READWRITE),
-        ("READWRITE", AccessMode.READWRITE),
+        ("READWRITE", AccessMode.READWRITE), (" Read ", AccessMode.READ),
     ])
     def test_parse(self, text, mode):
         assert AccessMode.parse(text) is mode
 
     def test_parse_bad(self):
-        with pytest.raises(CoherenceError):
+        with pytest.raises(
+            CoherenceError,
+            match=r"^unknown access mode 'readonly-ish'; use read\|write\|readwrite$",
+        ):
             AccessMode.parse("readonly-ish")
 
     def test_flags(self):

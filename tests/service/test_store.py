@@ -1,5 +1,8 @@
 """Unit tests for the content-addressed descriptor store."""
 
+import sys
+import threading
+
 import pytest
 
 from repro.errors import PDLError, UnknownPlatformError
@@ -105,6 +108,88 @@ class TestPlatformCache:
         p2 = seeded_store.platform("cell_qs22")
         assert p2.name != "mutated"
         assert p2.pu("spe").quantity == 8
+
+
+class TestCachedMaster:
+    """Pre-selection reads the LRU's parsed platform in place, so nothing
+    a caller does to a fetched platform may reach it, and pre-selection
+    itself must leave it as parsed."""
+
+    def test_preselect_leaves_the_cached_master_unchanged(self, program_source):
+        store = DescriptorStore()
+        store.publish("box", xml_of("xeon_x5550_2gpu"))
+        for expert_variants in (False, True):
+            store.preselect("box", program_source, expert_variants=expert_variants)
+        assert write_pdl(store.platform("box")) == store.xml("box")
+
+    def test_mutating_a_fetched_platform_changes_no_later_read(
+        self, program_source
+    ):
+        clean = DescriptorStore()
+        clean.publish("box", xml_of("xeon_x5550_2gpu"))
+        expected, _ = clean.preselect("box", program_source)
+        store = DescriptorStore(platform_cache_size=1)
+        store.publish("box", xml_of("xeon_x5550_2gpu"))
+        store.publish("cell", xml_of("cell_qs22"))  # evicts "box"
+        for _ in range(2):  # an LRU miss, then a hit
+            fetched = store.platform("box")
+            fetched.name = "mutated"
+            for pu in fetched.workers():
+                pu.descriptor.remove("ARCHITECTURE")
+        assert write_pdl(store.platform("box")) == store.xml("box")
+        payload, cached = store.preselect("box", program_source)
+        assert not cached
+        assert payload == expected
+
+    def test_concurrent_preselections_agree(self, program_source):
+        programs = [
+            program_source.replace("dgemm_", f"dgemm{i}_") for i in range(6)
+        ]
+        refs = {"box": xml_of("xeon_x5550_2gpu"), "cell": xml_of("cell_qs22")}
+        reference = DescriptorStore()
+        # one platform slot and two memo slots: most calls miss both caches
+        store = DescriptorStore(platform_cache_size=1, preselect_cache_size=2)
+        for ref, xml in refs.items():
+            reference.publish(ref, xml)
+            store.publish(ref, xml)
+        expected = {
+            (ref, i): reference.preselect(ref, program)[0]
+            for ref in refs
+            for i, program in enumerate(programs)
+        }
+        results: dict[int, list] = {}
+        errors: list = []
+
+        def worker(k: int) -> None:
+            try:
+                results[k] = [
+                    ((ref, i), store.preselect(ref, programs[i])[0])
+                    for _ in range(3)
+                    for i in (*range(k, len(programs)), *range(k))
+                    for ref in refs
+                ]
+            except Exception as exc:  # noqa: BLE001 — reported below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [
+                threading.Thread(target=worker, args=(k,)) for k in range(4)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert sorted(results) == [0, 1, 2, 3]
+        for pairs in results.values():
+            assert len(pairs) == 3 * len(programs) * len(refs)
+            for key, payload in pairs:
+                assert payload == expected[key]
 
 
 class TestPreselect:
