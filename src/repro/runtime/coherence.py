@@ -226,11 +226,13 @@ class CoherenceDirectory:
         """Apply the coherence transition for a completed access."""
         valid = self.valid_nodes(handle)
         if mode.writes:
+            # a write by the sole owner changes nothing, so the memo and
+            # the epoch stay (the vectorized scorer keys rows on them)
             if len(valid) > 1 or node not in valid:
                 self._stats_invalidations += max(0, len(valid - {node}))
-            valid.clear()
-            valid.add(node)
-            self._drop_memo(handle.id)
+                valid.clear()
+                valid.add(node)
+                self._drop_memo(handle.id)
         else:
             if node not in valid:
                 raise CoherenceError(

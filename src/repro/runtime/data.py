@@ -89,6 +89,9 @@ class DataHandle:
         self.children: list["DataHandle"] = []
         #: slice of the parent this child covers (for reporting)
         self.parent_slice: Optional[tuple] = None
+        #: mode → the task parameter for this handle, shared by every
+        #: task that names the pair (see ``repro.runtime.tasks._access_of``)
+        self._accesses: dict = {}
 
     # -- geometry -----------------------------------------------------------
     @property

@@ -165,7 +165,12 @@ class _VectorCostModel:
     * transfer rows sum ``ideal_time_cached`` values (the memoized
       scalar computation) per ``(entity, memory node)`` worker group, in
       task-access order — the identical float-summation order as the
-      scalar loop, hence bit-identical totals.
+      scalar loop, hence bit-identical totals;
+    * a handle's transfer row depends only on its *residency* — its
+      valid-node set, home node and size — so rows are interned per
+      residency, and a whole cost row (exec + transfer) is memoized on
+      the cost signature plus the ordered residencies of the task's
+      reads.  Scoring a ready task is then a few dict lookups.
     """
 
     def __init__(self, engine: "RuntimeEngine"):
@@ -202,9 +207,17 @@ class _VectorCostModel:
         #: separate from the scheduler rows because ``sched_perf_model``
         #: may deliberately diverge from simulated truth
         self._truth_rows: dict[int, np.ndarray] = {}
-        #: handle id → (validity epoch, per-group ideal-transfer row);
+        #: handle id → (coherence epoch, residency id): the fast path,
         #: valid until the handle's coherence state changes
-        self._handle_rows: dict[int, tuple[int, np.ndarray]] = {}
+        self._handle_residency: dict[int, tuple[int, int]] = {}
+        #: (valid nodes, home node, nbytes) → residency id
+        self._residency_ids: dict[tuple, int] = {}
+        #: residency id → per-group ideal read-fetch seconds (None = all 0)
+        self._residency_rows: list[Optional[np.ndarray]] = []
+        #: (cost signature id, residency ids of the reads in access
+        #: order) → exec row + transfer row; the order keeps the scalar
+        #: loop's float-summation order
+        self._cost_rows: dict[tuple, np.ndarray] = {}
         #: kernel kind id → bool support row over workers
         self._kind_rows: list[np.ndarray] = []
         self._kind_matrix: Optional[np.ndarray] = None
@@ -235,11 +248,16 @@ class _VectorCostModel:
         return self._kind_matrix
 
     # -- batch rows -------------------------------------------------------
-    def exec_row(self, task: RuntimeTask) -> np.ndarray:
+    def _sig_of(self, task: RuntimeTask) -> int:
         sid = task.cost_sig
         if sid is None:
+            # task bypassed engine.submit (unit-test construction)
             self._engine.task_table.add(task)
             sid = task.cost_sig
+        return sid
+
+    def exec_row(self, task: RuntimeTask) -> np.ndarray:
+        sid = self._sig_of(task)
         row = self._exec_rows.get(sid)
         if row is None:
             engine = self._engine
@@ -254,32 +272,47 @@ class _VectorCostModel:
             self._exec_rows[sid] = row
         return row
 
-    def _handle_group_row(self, handle) -> Optional[np.ndarray]:
-        """Per-group ideal read-fetch seconds for one handle, memoized
-        against the handle's coherence epoch.  ``None`` means the handle
-        is resident everywhere it matters (an all-zero row)."""
-        engine = self._engine
-        coherence = engine.coherence
+    def _residency(self, handle: DataHandle) -> int:
+        """Interned id of ``handle``'s residency; handles in the same
+        coherence state share one id and one per-group transfer row."""
+        coherence = self._engine.coherence
         epoch = coherence.epoch_of(handle)
-        cached = self._handle_rows.get(handle.id)
+        cached = self._handle_residency.get(handle.id)
         if cached is not None and cached[0] == epoch:
             return cached[1]
-        srcs = coherence.needed_src_many(handle, self._distinct_nodes)
-        row: Optional[np.ndarray] = None
-        if any(s >= 0 for s in srcs):
-            ideal = engine.transfer_model.ideal_time_cached
-            anchor = engine.node_anchor
-            nbytes = handle.nbytes
-            slots = self._node_slot_of_group
-            row = np.zeros(self._ngroups, dtype=np.float64)
-            for g, (entity_id, _node, _ix) in enumerate(self._groups):
-                src = srcs[slots[g]]
-                if src >= 0:
-                    row[g] = ideal(anchor[src], entity_id, nbytes)
-        self._handle_rows[handle.id] = (epoch, row)
+        key = (
+            frozenset(coherence.valid_nodes(handle)),
+            handle.home_node,
+            handle.nbytes,
+        )
+        rid = self._residency_ids.get(key)
+        if rid is None:
+            rid = len(self._residency_rows)
+            self._residency_ids[key] = rid
+            self._residency_rows.append(self._group_row(handle))
+        self._handle_residency[handle.id] = (epoch, rid)
+        return rid
+
+    def _group_row(self, handle: DataHandle) -> Optional[np.ndarray]:
+        """Per-group ideal read-fetch seconds for ``handle`` as it is
+        resident now.  ``None`` means it is resident everywhere it
+        matters (an all-zero row)."""
+        engine = self._engine
+        srcs = engine.coherence.needed_src_many(handle, self._distinct_nodes)
+        if all(s < 0 for s in srcs):
+            return None
+        ideal = engine.transfer_model.ideal_time_cached
+        anchor = engine.node_anchor
+        nbytes = handle.nbytes
+        slots = self._node_slot_of_group
+        row = np.zeros(self._ngroups, dtype=np.float64)
+        for g, (entity_id, _node, _ix) in enumerate(self._groups):
+            src = srcs[slots[g]]
+            if src >= 0:
+                row[g] = ideal(anchor[src], entity_id, nbytes)
         return row
 
-    def transfer_row(self, task: RuntimeTask) -> Optional[np.ndarray]:
+    def _transfer_row(self, residencies: tuple) -> Optional[np.ndarray]:
         """Per-worker read-fetch seconds, or ``None`` when all zero.
 
         Elementwise adds in task-access order reproduce the scalar
@@ -287,25 +320,33 @@ class _VectorCostModel:
         all-zero rows is float-identical because every contribution is
         non-negative (``x + 0.0 == x``)."""
         total = None
-        for access in task.accesses:
-            if not access.mode.reads:
-                continue
-            group_row = self._handle_group_row(access.handle)
+        for rid in residencies:
+            group_row = self._residency_rows[rid]
             if group_row is None:
                 continue
-            total = group_row.copy() if total is None else total + group_row
+            total = group_row if total is None else total + group_row
         if total is None:
             return None
         return total[self._group_of_worker]
 
     def cost_row(self, task: RuntimeTask, data_aware: bool) -> np.ndarray:
-        # callers treat the row as read-only, so the memoized exec row
-        # may be returned as-is when there is nothing to add
-        row = self.exec_row(task)
+        # callers treat the row as read-only, so memoized rows are
+        # returned as-is
         if data_aware:
-            extra = self.transfer_row(task)
-            if extra is not None:
-                row = row + extra
+            residency = self._residency
+            key = (
+                self._sig_of(task),
+                tuple([residency(a.handle) for a in task.accesses if a.mode.reads]),
+            )
+            row = self._cost_rows.get(key)
+            if row is None:
+                row = self.exec_row(task)
+                extra = self._transfer_row(key[1])
+                if extra is not None:
+                    row = row + extra
+                self._cost_rows[key] = row
+        else:
+            row = self.exec_row(task)
         offline = self._engine._offline
         if offline:
             mask = np.array(
@@ -329,19 +370,21 @@ class _VectorCostModel:
             return True
         return self._engine.workers[worker_index].instance_id not in offline
 
-    def invalidate_exec(self) -> None:
-        """Drop memoized execution rows (descriptor properties changed)."""
+    def invalidate(self) -> None:
+        """Drop every memoized row: descriptor properties changed, so
+        execution rates or link bandwidth/latency may have moved."""
         self._exec_rows.clear()
         self._truth_rows.clear()
+        self._handle_residency.clear()
+        self._residency_ids.clear()
+        self._residency_rows.clear()
+        self._cost_rows.clear()
 
     def truth_duration(self, task: RuntimeTask, worker: WorkerContext) -> float:
         """Memoized ``engine.exec_estimate`` — the simulated-truth run
         duration, which (like the scheduler estimate) depends only on the
         task's cost signature and the worker."""
-        sid = task.cost_sig
-        if sid is None:
-            self._engine.task_table.add(task)
-            sid = task.cost_sig
+        sid = self._sig_of(task)
         row = self._truth_rows.get(sid)
         if row is None:
             engine = self._engine
@@ -498,6 +541,8 @@ class RuntimeEngine:
             self.scheduler.attach(self.workers, _EngineCostModel(self))
 
         self._tasks: list[RuntimeTask] = []
+        #: kernels already checked to have an implementation on some lane
+        self._runnable_kernels: set[str] = set()
         self._tracker = DependencyTracker()
         self._handles: list[DataHandle] = []
         self._ran = False
@@ -544,13 +589,17 @@ class RuntimeEngine:
             raise RuntimeEngineError(
                 "engine already ran; create a new engine for another run"
             )
-        kernel_def = self.registry.get(kernel)  # raises on unknown kernel
-        if not any(kernel_def.supports(w.architecture) for w in self.workers):
-            raise SchedulerError(
-                f"kernel {kernel!r} has no implementation for any worker"
-                f" architecture on platform {self.platform.name!r}"
-                f" (architectures: {sorted({w.architecture for w in self.workers})})"
-            )
+        if kernel not in self._runnable_kernels:
+            kernel_def = self.registry.get(kernel)  # raises on unknown kernel
+            if not any(kernel_def.supports(w.architecture) for w in self.workers):
+                raise SchedulerError(
+                    f"kernel {kernel!r} has no implementation for any worker"
+                    f" architecture on platform {self.platform.name!r}"
+                    f" (architectures: {sorted({w.architecture for w in self.workers})})"
+                )
+            # registries only gain kernels and variants, so a kernel that
+            # has a lane once keeps it for the life of the engine
+            self._runnable_kernels.add(kernel)
         task = RuntimeTask(
             kernel, accesses, dims=dims, args=args, priority=priority, tag=tag,
             # run-local ids (1..n in submit order): two engines fed the
@@ -906,7 +955,8 @@ class RuntimeEngine:
             task.state = TaskState.DONE
             table.state[task.table_index] = 3  # DONE
             pending -= 1
-            worker.busy_time += task.duration or 0.0
+            # start_task set both times for this incarnation
+            worker.busy_time += task.end_time - task.start_time
             worker.tasks_executed += 1
             if self.capacity is not None:
                 for access in task.accesses:
@@ -914,24 +964,24 @@ class RuntimeEngine:
                     self.capacity.touch(access.handle, worker.memory_node, now)
             trace.record_task(
                 TaskTrace(
-                    task_id=task.id,
-                    tag=task.tag,
-                    kernel=task.kernel,
-                    worker_id=worker.instance_id,
-                    architecture=worker.architecture,
-                    start=task.start_time or 0.0,
-                    end=now,
-                    transfer_wait=transfer_wait,
+                    task.id,
+                    task.tag,
+                    task.kernel,
+                    worker.instance_id,
+                    worker.architecture,
+                    task.start_time,
+                    now,
+                    transfer_wait,
                 )
             )
-            newly_ready = [
-                dep for dep in task.dependents if dep.notify_producer_done()
-            ]
-            for dep in newly_ready:
-                dep.state = TaskState.READY
-                table.mark_ready(dep.table_index, now)
-                self.scheduler.task_ready(dep, now)
-            if newly_ready:
+            woke = False
+            for dep in task.dependents:
+                if dep.notify_producer_done():
+                    dep.state = TaskState.READY
+                    table.mark_ready(dep.table_index, now)
+                    self.scheduler.task_ready(dep, now)
+                    woke = True
+            if woke:
                 wake_idle()
             worker_tick(worker)
 
@@ -1029,12 +1079,13 @@ class RuntimeEngine:
             self.perf.invalidate()
             if self.sched_perf is not self.perf:
                 self.sched_perf.invalidate()
-            if self._vec_cost is not None:
-                # memoized execution rows are derived from the (now
-                # stale) model caches; rebuild on next score
-                self._vec_cost.invalidate_exec()
             if event.affects_interconnect:
                 self.transfer_model.invalidate_routes()
+            if self._vec_cost is not None:
+                # memoized execution and transfer rows are derived from
+                # the (now stale) model caches and link parameters;
+                # rebuild on next score
+                self._vec_cost.invalidate()
             for worker in self.workers:
                 if worker.entity_id != event.pu_id:
                     continue

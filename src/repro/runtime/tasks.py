@@ -45,12 +45,34 @@ class TaskState(str, Enum):
     FAILED = "failed"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Access:
-    """One (handle, mode) task parameter."""
+    """One (handle, mode) task parameter.
+
+    Immutable, so tasks share one instance per pair: :func:`_access_of`
+    builds it once per handle and mode instead of once per task.
+    """
 
     handle: DataHandle
     mode: AccessMode
+
+
+def _access_of(handle: DataHandle, mode) -> Access:
+    """The shared :class:`Access` for ``(handle, mode)``.
+
+    ``mode`` is an :class:`AccessMode` or any spelling
+    :meth:`AccessMode.parse` accepts.  The memo lives on the handle and
+    is keyed by the mode as given, so a repeated spelling skips parsing.
+    """
+    memo = handle._accesses
+    access = memo.get(mode)
+    if access is None:
+        parsed = mode if isinstance(mode, AccessMode) else AccessMode.parse(mode)
+        access = memo.get(parsed)
+        if access is None:
+            access = memo[parsed] = Access(handle, parsed)
+        memo[mode] = access
+    return access
 
 
 class RuntimeTask:
@@ -79,6 +101,30 @@ class RuntimeTask:
         counter.
     """
 
+    __slots__ = (
+        "id",
+        "kernel",
+        "accesses",
+        "dims",
+        "args",
+        "priority",
+        "tag",
+        "state",
+        "depends_on",
+        "dependents",
+        "_unfinished_deps",
+        "worker_id",
+        "start_time",
+        "end_time",
+        "table_index",
+        "kind_id",
+        "cost_sig",
+        "attempt",
+        "incarnation",
+        "fault_armed",
+        "last_error",
+    )
+
     def __init__(
         self,
         kernel: str,
@@ -93,8 +139,7 @@ class RuntimeTask:
         self.id = next(_task_ids) if task_id is None else task_id
         self.kernel = kernel
         self.accesses: tuple[Access, ...] = tuple(
-            Access(handle, mode if isinstance(mode, AccessMode) else AccessMode.parse(mode))
-            for handle, mode in accesses
+            [_access_of(handle, mode) for handle, mode in accesses]
         )
         if not self.accesses:
             raise RuntimeEngineError(f"task {kernel!r} has no data accesses")
@@ -227,16 +272,21 @@ class TaskTable:
     """
 
     _GROW = 1024
+    #: column → (dtype, value of a row before anything is stored in it);
+    #: :meth:`add` stores only values that differ from these
+    _COLUMNS = {
+        "state": (np.int8, 0),
+        "kernel_id": (np.int32, 0),
+        "sig_id": (np.int32, 0),
+        "worker": (np.int32, -1),
+        "ready_time": (np.float64, np.nan),
+        "priority": (np.float64, 0.0),
+    }
 
     def __init__(self):
         self._n = 0
-        cap = self._GROW
-        self.state = np.zeros(cap, dtype=np.int8)
-        self.kernel_id = np.zeros(cap, dtype=np.int32)
-        self.sig_id = np.zeros(cap, dtype=np.int32)
-        self.worker = np.full(cap, -1, dtype=np.int32)
-        self.ready_time = np.full(cap, np.nan, dtype=np.float64)
-        self.priority = np.zeros(cap, dtype=np.float64)
+        for name, (dtype, default) in self._COLUMNS.items():
+            setattr(self, name, np.full(self._GROW, default, dtype=dtype))
         self._kernels: dict[str, int] = {}
         self.kernel_names: list[str] = []
         self._sigs: dict[tuple, int] = {}
@@ -249,13 +299,11 @@ class TaskTable:
     def _ensure_capacity(self) -> None:
         if self._n < len(self.state):
             return
-        for name in ("state", "kernel_id", "sig_id", "worker", "ready_time", "priority"):
+        for name, (dtype, default) in self._COLUMNS.items():
             old = getattr(self, name)
-            grown = np.empty(len(old) * 2, dtype=old.dtype)
+            grown = np.full(len(old) * 2, default, dtype=dtype)
             grown[: len(old)] = old
             setattr(self, name, grown)
-        self.worker[self._n :] = -1
-        self.ready_time[self._n :] = np.nan
 
     def add(self, task: RuntimeTask) -> int:
         """Intern ``task``; sets ``task.table_index``/``sig_id``/``kind_id``."""
@@ -273,12 +321,15 @@ class TaskTable:
             sid = len(self.sig_representative)
             self._sigs[sig] = sid
             self.sig_representative.append(task)
-        self.state[i] = _STATE_CODE[task.state]
-        self.kernel_id[i] = kid
-        self.sig_id[i] = sid
-        self.worker[i] = -1
-        self.ready_time[i] = np.nan
-        self.priority[i] = task.priority
+        state = _STATE_CODE[task.state]
+        if state:
+            self.state[i] = state
+        if kid:
+            self.kernel_id[i] = kid
+        if sid:
+            self.sig_id[i] = sid
+        if task.priority:
+            self.priority[i] = task.priority
         task.table_index = i
         task.kind_id = kid
         task.cost_sig = sid
@@ -317,26 +368,33 @@ class DependencyTracker:
         self._readers: dict[int, list[RuntimeTask]] = {}
 
     def register(self, task: RuntimeTask) -> None:
-        """Infer and record dependencies for ``task`` (submission order)."""
+        """Infer and record dependencies for ``task`` (submission order).
+
+        One pass: each access takes its dependencies from the hazard
+        state, then updates it.  A handle the task names twice may show
+        the task itself as last writer or reader; it skips itself, and
+        a writing access has already taken every dependency the handle
+        implies, so the result equals inferring all dependencies before
+        updating any state.
+        """
+        last_writer = self._last_writer
+        readers = self._readers
         for access in task.accesses:
             hid = access.handle.id
-            writer = self._last_writer.get(hid)
-            if access.mode.reads and writer is not None:
-                task.add_dependency(writer)  # RAW
-            if access.mode.writes:
+            writer = last_writer.get(hid)
+            if writer is not task:
+                # every mode reads or writes: RAW or WAW on the writer
                 if writer is not None:
-                    task.add_dependency(writer)  # WAW
-                for reader in self._readers.get(hid, ()):  # WAR
-                    if reader is not task:
-                        task.add_dependency(reader)
-        # second pass: update hazard state after *all* deps are known
-        for access in task.accesses:
-            hid = access.handle.id
+                    task.add_dependency(writer)
+                if access.mode.writes:
+                    for reader in readers.get(hid, ()):  # WAR
+                        if reader is not task:
+                            task.add_dependency(reader)
             if access.mode.writes:
-                self._last_writer[hid] = task
-                self._readers[hid] = []
-            if access.mode.reads and not access.mode.writes:
-                self._readers.setdefault(hid, []).append(task)
+                last_writer[hid] = task
+                readers[hid] = []
+            else:
+                readers.setdefault(hid, []).append(task)
 
     def reset(self) -> None:
         self._last_writer.clear()

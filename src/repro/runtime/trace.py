@@ -18,7 +18,7 @@ from repro.obs.digest import fingerprint_payload
 __all__ = ["TaskTrace", "TransferTrace", "FaultTrace", "TraceLog", "RunResult"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TaskTrace:
     """One executed task."""
 
@@ -36,7 +36,7 @@ class TaskTrace:
         return self.end - self.start
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TransferTrace:
     """One data movement."""
 

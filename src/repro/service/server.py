@@ -223,6 +223,10 @@ class RegistryServer:
                 await writer.wait_closed()
             except (ConnectionResetError, BrokenPipeError, OSError):
                 pass
+            except asyncio.CancelledError:
+                # the same shutdown can land while the handler waits
+                # here for the close; finish normally for the same reason
+                pass
 
     async def _read_request(self, reader) -> Optional[_Request]:
         line = await asyncio.wait_for(

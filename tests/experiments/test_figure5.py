@@ -85,3 +85,44 @@ class TestAnchors:
         run = run_configuration("xeon_x5550_2gpu", config)
         assert run.task_count == 64
         assert run.scheduler == "dmda"
+
+
+#: The simulated outputs of the Figure-5 engine pass at 8192/512 dmda:
+#: RunResult fingerprint, makespan (s), tasks, transfers, MiB moved,
+#: trace events, TraceLog fingerprint.  A speed-only change to the
+#: runtime must leave every one of them as it is.
+FIG5_PINNED = {
+    "xeon_x5550_dual": (
+        "d13c8dc3ae6fcca2984aeb5fea39b413b2b509b16a3e2744755cc2f130a83e7c",
+        15.252026172096725, 4096, 0, 0.0, 4096,
+        "550bb03890b61b898be04d1aa6b3bd17d955adc88a7a8fc552e64a3ce78c95a5",
+    ),
+    "xeon_x5550_2gpu": (
+        "50a784041e835d95d78d53bce5e746c9755e2a5acbc80037c88592f52faaa3b7",
+        7.218766663505322, 4096, 3818, 7636.0, 7914,
+        "70acadf49382681bf5c622e808f428537842c06cc4ea21a2cd6b04e61a70b7d0",
+    ),
+}
+
+
+@pytest.mark.parametrize("platform", sorted(FIG5_PINNED))
+def test_figure5_engine_outputs_are_pinned(platform):
+    """The pipeline the Figure-5 benchmark times: a dmda engine on the
+    shipped descriptor, the tiled 8192/512 DGEMM, one run."""
+    from repro.experiments.workloads import submit_tiled_dgemm
+    from repro.pdl import load_platform
+    from repro.runtime.engine import RuntimeEngine
+
+    engine = RuntimeEngine(load_platform(platform), scheduler="dmda")
+    submit_tiled_dgemm(engine, 8192, 512)
+    result = engine.run()
+    trace = result.trace
+    assert (
+        result.fingerprint(),
+        result.makespan,
+        result.task_count,
+        result.transfer_count,
+        result.bytes_transferred / 2**20,
+        len(trace.tasks) + len(trace.transfers) + len(trace.faults),
+        trace.fingerprint(),
+    ) == FIG5_PINNED[platform]

@@ -190,6 +190,18 @@ class TestNeedMemo:
         assert d.needed_src(handle, 4) == 0
         assert d.epoch_of(handle) == e0
 
+    def test_epoch_stable_on_sole_owner_write(self, handle):
+        """A write by the only node holding a valid copy changes no
+        state, so the epoch (and the memo keyed on it) stays."""
+        d = CoherenceDirectory()
+        d.note_access(handle, 2, AccessMode.WRITE)
+        assert d.needed_src(handle, 0) == 2
+        e0 = d.epoch_of(handle)
+        d.note_access(handle, 2, AccessMode.READWRITE)
+        assert d.epoch_of(handle) == e0
+        assert d.valid_nodes(handle) == {2}
+        assert d.invalidation_count == 1  # the first write dropped home
+
     def test_reset_clears_memo(self, handle):
         d = CoherenceDirectory()
         d.note_access(handle, 2, AccessMode.WRITE)

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 
 from repro.model.builder import PlatformBuilder
+from repro.model.entities import MemoryRegion
 from repro.runtime.engine import RuntimeEngine
 from repro.runtime.tasks import TaskState
 
@@ -29,7 +30,12 @@ def build_platform(n_cpu, n_gpu):
         builder.interconnect("m", f"g{g}", type="PCIe",
                              bandwidth="5.7 GB/s", latency="15 us")
     builder.interconnect("m", "cpu", type="SHM")
-    return builder.build(validate=False)
+    platform = builder.build(validate=False)
+    for g in range(n_gpu):
+        # device memory: each GPU is its own memory node, so operands
+        # move over PCIe and coherence has copies to track
+        platform.find_pu(f"g{g}").add_memory_region(MemoryRegion(f"g{g}mem"))
+    return platform
 
 
 @st.composite
@@ -53,14 +59,12 @@ def workloads(draw):
     return n_cpu, n_gpu, n_handles, tasks, scheduler
 
 
-@given(workloads())
-@settings(max_examples=60, deadline=None)
-def test_random_graphs_complete_correctly(spec):
-    n_cpu, n_gpu, n_handles, task_specs, scheduler = spec
-    platform = build_platform(n_cpu, n_gpu)
-    engine = RuntimeEngine(platform, scheduler=scheduler)
+def submit_workload(engine, n_handles, task_specs, shapes=((64, 64),)):
+    """Submit a drawn task list; handle ``i`` takes ``shapes[i % len]``.
+    False when the draw names too few distinct handles for a kernel."""
     handles = [
-        engine.register(shape=(64, 64), name=f"h{i}") for i in range(n_handles)
+        engine.register(shape=shapes[i % len(shapes)], name=f"h{i}")
+        for i in range(n_handles)
     ]
     for kernel_idx, handle_idxs, first_mode, priority in task_specs:
         kernel, arity, dims = KERNELS[kernel_idx]
@@ -76,10 +80,21 @@ def test_random_graphs_complete_correctly(spec):
                     chosen.append(h)
                     break
             else:
-                return  # not enough distinct handles; skip this case
+                return False
         chosen = chosen[:arity]
         accesses = [(chosen[0], first_mode)] + [(h, "r") for h in chosen[1:]]
         engine.submit(kernel, accesses, dims=dims, priority=priority)
+    return True
+
+
+@given(workloads())
+@settings(max_examples=60, deadline=None)
+def test_random_graphs_complete_correctly(spec):
+    n_cpu, n_gpu, n_handles, task_specs, scheduler = spec
+    platform = build_platform(n_cpu, n_gpu)
+    engine = RuntimeEngine(platform, scheduler=scheduler)
+    if not submit_workload(engine, n_handles, task_specs):
+        return  # not enough distinct handles; skip this case
 
     result = engine.run()
 
@@ -101,6 +116,30 @@ def test_random_graphs_complete_correctly(spec):
     # transfers only exist when accelerator memory nodes exist
     if n_gpu == 0:
         assert result.transfer_count == 0
+
+
+@given(workloads())
+@settings(max_examples=40, deadline=None)
+def test_scalar_and_vectorized_engines_agree_on_random_graphs(spec):
+    """The scalar engine is the executable spec of the vectorized one:
+    identical trace fingerprints and makespans on every drawn DAG.  Two
+    handle shapes give handles in the same coherence state different
+    transfer costs, so the memoized transfer rows must tell them apart."""
+    n_cpu, n_gpu, n_handles, task_specs, _ = spec
+    for scheduler in ("eager", "dm", "dmda"):
+        runs = []
+        for vectorized in (False, True):
+            engine = RuntimeEngine(
+                build_platform(n_cpu, n_gpu),
+                scheduler=scheduler,
+                vectorized=vectorized,
+            )
+            shapes = ((64, 64), (128, 64))
+            if not submit_workload(engine, n_handles, task_specs, shapes):
+                return  # not enough distinct handles; skip this case
+            result = engine.run()
+            runs.append((result.trace.fingerprint(), result.makespan))
+        assert runs[0] == runs[1], scheduler
 
 
 class TestPriority:

@@ -190,6 +190,66 @@ def test_dependency_graph_is_acyclic_and_conflict_ordered(ops):
                 )
 
 
+def _register_two_pass(tracker_state, task):
+    """The two-pass inference ``DependencyTracker.register`` replaced:
+    every dependency from the state before the task, then every update.
+    Kept as the oracle for the one-pass version."""
+    last_writer, readers = tracker_state
+    for access in task.accesses:
+        hid = access.handle.id
+        writer = last_writer.get(hid)
+        if access.mode.reads and writer is not None:
+            task.add_dependency(writer)
+        if access.mode.writes:
+            if writer is not None:
+                task.add_dependency(writer)
+            for reader in readers.get(hid, ()):
+                if reader is not task:
+                    task.add_dependency(reader)
+    for access in task.accesses:
+        hid = access.handle.id
+        if access.mode.writes:
+            last_writer[hid] = task
+            readers[hid] = []
+        if access.mode.reads and not access.mode.writes:
+            readers.setdefault(hid, []).append(task)
+
+
+@given(st.lists(
+    st.lists(
+        st.tuples(st.integers(0, 2), st.sampled_from(["r", "w", "rw"])),
+        min_size=1, max_size=4,
+    ),
+    min_size=1, max_size=20,
+))
+@settings(max_examples=200, deadline=None)
+def test_one_pass_register_matches_two_pass(specs):
+    """Tasks naming a handle more than once included: same dependency
+    sets, same dependents order and the same hazard state afterwards."""
+    hs = handles(3)
+    tracker = DependencyTracker()
+    state = ({}, {})
+    new, old = [], []
+    for n, accesses in enumerate(specs, start=1):
+        pairs = [(hs[i], mode) for i, mode in accesses]
+        a = RuntimeTask("dvecadd", pairs, task_id=n)
+        b = RuntimeTask("dvecadd", pairs, task_id=n)
+        tracker.register(a)
+        _register_two_pass(state, b)
+        new.append(a)
+        old.append(b)
+    for a, b in zip(new, old):
+        assert a.depends_on == b.depends_on
+        assert [d.id for d in a.dependents] == [d.id for d in b.dependents]
+        assert a._unfinished_deps == b._unfinished_deps
+    ids = lambda table: {  # noqa: E731
+        k: ([t.id for t in v] if isinstance(v, list) else v.id)
+        for k, v in table.items()
+    }
+    assert ids(tracker._last_writer) == ids(state[0])
+    assert ids(tracker._readers) == ids(state[1])
+
+
 class TestTaskSignature:
     def test_explicit_dims(self):
         from repro.runtime.tasks import task_signature

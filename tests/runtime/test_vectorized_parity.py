@@ -10,14 +10,18 @@ record including exact float start/end times, across:
 * schedulers with an array fast path (eager, dm, dmda, dmda+steal),
 * platforms (Figure-5 CPU+GPU box, a many-core mesh NoC),
 * fault scenarios (worker death, task fault + retry, offline/online
-  cycles with interconnect re-instantiation).
+  cycles with interconnect re-instantiation),
+* a link whose bandwidth is re-instantiated mid-run.
 """
+
+from dataclasses import dataclass
 
 import pytest
 
 from repro.dynamic import (
     FrequencyChange,
     PropertyUpdate,
+    PlatformEvent,
     PUOffline,
     PUOnline,
     TaskFault,
@@ -25,6 +29,7 @@ from repro.dynamic import (
 )
 from repro.experiments.scenarios import synthetic_mesh_platform
 from repro.experiments.workloads import submit_tiled_cholesky, submit_tiled_dgemm
+from repro.model.properties import PropertyValue
 from repro.pdl.catalog import load_platform
 from repro.runtime.engine import RuntimeEngine
 from repro.runtime.faults import FaultPolicy
@@ -130,14 +135,46 @@ def test_offline_online_cycle_parity(name):
 
 @pytest.mark.parametrize("name", ["dmda"])
 def test_dynamic_reinstantiation_parity(name):
-    """Events that invalidate memoized exec rows and link parameters:
-    a frequency change re-prices kernels, an interconnect property
-    update re-prices transfers.  The caches must drop on both."""
+    """Events that invalidate memoized exec rows: a frequency change
+    re-prices kernels.  The ``PropertyUpdate`` sets a BANDWIDTH property
+    on the gpu0 *PU*; it counts as an interconnect event and drops the
+    route caches, but no route reads PU properties, so no transfer is
+    re-priced (see the link-bandwidth test below for that)."""
     events = [
         (0.02, FrequencyChange("cpu", new_ghz=1.33)),
         (0.05, PropertyUpdate("gpu0", "BANDWIDTH", "4", unit="GB/s")),
     ]
     (fp_s, _, _), (fp_v, _, _) = _fingerprints(SCHEDULERS[name], events=events)
+    assert fp_s == fp_v
+
+
+@dataclass(frozen=True)
+class LinkBandwidth(PlatformEvent):
+    """Re-instantiate an interconnect's BANDWIDTH mid-run (the shipped
+    descriptor fixes it, so the event unfixes it first)."""
+
+    gbps: float = 0.0
+
+    def apply(self, platform) -> None:
+        prop = platform.find_interconnect(self.pu_id).descriptor.find("BANDWIDTH")
+        prop.fixed = False
+        prop.instantiate(PropertyValue(str(self.gbps), "GB/s"))
+
+    @property
+    def affects_interconnect(self) -> bool:
+        return True
+
+
+@pytest.mark.parametrize("when", [0.02, 0.08])
+def test_link_bandwidth_event_reprices_vectorized_transfer_rows(when):
+    """pcie0 drops from 5.7 to 0.5 GB/s mid-run.  Every memoized
+    transfer and cost row must go with the routes, or the vectorized
+    engine keeps placing with the old link price while the scalar one
+    re-prices (the later event catches stale whole-cost rows)."""
+    (fp_s, mk_s, _), (fp_v, mk_v, _) = _fingerprints(
+        SCHEDULERS["dmda"], events=[(when, LinkBandwidth("pcie0", 0.5))]
+    )
+    assert mk_s == mk_v
     assert fp_s == fp_v
 
 

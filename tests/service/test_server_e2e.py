@@ -124,3 +124,45 @@ class TestEndToEnd:
         assert results[0]["report"]["fingerprint"] == results[2]["report"][
             "fingerprint"
         ]
+
+
+class TestShutdown:
+    def test_cancel_while_closing_finishes_the_handler(self):
+        """Loop shutdown cancels handlers; one already waiting in its
+        ``finally`` for ``writer.wait_closed()`` must still finish
+        normally, or the stream protocol's done-callback logs the
+        CancelledError as an unhandled exception."""
+        import asyncio
+
+        from repro.service import RegistryServer
+        from repro.service.store import DescriptorStore
+
+        class EofReader:
+            async def readline(self):
+                return b""
+
+        class ParkedWriter:
+            def __init__(self):
+                self.closing = asyncio.Event()
+
+            def close(self):
+                pass
+
+            async def wait_closed(self):
+                self.closing.set()
+                await asyncio.Event().wait()  # a peer that never closes
+
+        async def scenario():
+            server = RegistryServer(DescriptorStore(), seed_catalog=False)
+            writer = ParkedWriter()
+            task = asyncio.create_task(
+                server._handle_connection(EofReader(), writer)
+            )
+            await asyncio.wait_for(writer.closing.wait(), timeout=5)
+            task.cancel()
+            await asyncio.wait([task], timeout=5)
+            assert task.done()
+            assert not task.cancelled()
+            assert task.exception() is None
+
+        asyncio.run(scenario())
