@@ -226,7 +226,6 @@ def score_candidate(
     workload: WorkloadSpec,
     *,
     tuning_path: Optional[str] = None,
-    vectorized: bool = True,
 ) -> PointScore:
     """Run the whole pipeline on one candidate; never raises.
 
@@ -285,7 +284,6 @@ def score_candidate(
         engine = RuntimeEngine(
             platform,
             scheduler=workload.scheduler,
-            vectorized=vectorized,
             sched_perf_model=sched_perf_model,
         )
         workload.submit(engine)

@@ -41,10 +41,8 @@ def default_processes() -> int:
 
 def _score_job(job: tuple) -> PointScore:
     """Pool entry point (top-level so every start method can import it)."""
-    candidate, workload, tuning_path, vectorized = job
-    return score_candidate(
-        candidate, workload, tuning_path=tuning_path, vectorized=vectorized
-    )
+    candidate, workload, tuning_path = job
+    return score_candidate(candidate, workload, tuning_path=tuning_path)
 
 
 def _pool_context(name: Optional[str]):
@@ -63,7 +61,6 @@ def sweep(
     processes: Optional[int] = None,
     mp_context: Optional[str] = None,
     tuning_path: Optional[str] = None,
-    vectorized: bool = True,
 ) -> list[PointScore]:
     """Score every candidate; returns scores sorted by content digest.
 
@@ -76,7 +73,7 @@ def sweep(
     if processes is not None and processes < 0:
         raise ExploreError("processes must be >= 0")
     n_procs = int(processes or 1)
-    jobs = [(c, workload, tuning_path, vectorized) for c in candidates]
+    jobs = [(c, workload, tuning_path) for c in candidates]
 
     tracer = _obs.get_tracer()
     with _obs.span(
@@ -116,7 +113,6 @@ def run_exploration(
     processes: Optional[int] = None,
     mp_context: Optional[str] = None,
     tuning_path: Optional[str] = None,
-    vectorized: bool = True,
 ) -> FrontierReport:
     """Synthesize → sweep → Pareto report, in one call.
 
@@ -141,7 +137,6 @@ def run_exploration(
         processes=processes,
         mp_context=mp_context,
         tuning_path=tuning_path,
-        vectorized=vectorized,
     )
     elapsed = time.perf_counter() - t0
     return build_report(

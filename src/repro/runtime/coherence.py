@@ -67,7 +67,7 @@ _ACCESS_MODE_ALIASES = {
 }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TransferNeed:
     """One data movement required before an access may proceed."""
 
@@ -202,12 +202,6 @@ class CoherenceDirectory:
             return None
         return TransferNeed(handle, src, node)
 
-    def bulk_required_transfers(
-        self, accesses, node: int
-    ) -> list[Optional[TransferNeed]]:
-        """Resolve the needs of many ``(handle, mode)`` pairs on ``node``."""
-        return [self.required_transfer_cached(h, node, m) for h, m in accesses]
-
     # -- state transitions --------------------------------------------------------
     def note_transfer(self, need: TransferNeed) -> None:
         """Record that ``need`` was carried out: dst joins the sharers."""
@@ -252,6 +246,13 @@ class CoherenceDirectory:
     def _drop_memo(self, handle_id: int) -> None:
         self._need_cache.pop(handle_id, None)
         self._epoch[handle_id] = self._epoch.get(handle_id, 0) + 1
+
+    def forget(self, handle: DataHandle) -> None:
+        """Drop every entry kept for ``handle`` (a datum no task will
+        name again, such as a finished serving request's operand)."""
+        self._valid.pop(handle.id, None)
+        self._need_cache.pop(handle.id, None)
+        self._epoch.pop(handle.id, None)
 
     def epoch_of(self, handle: DataHandle) -> int:
         """Current validity epoch of ``handle`` (changes on transitions)."""

@@ -63,6 +63,20 @@ class DataHandle:
         Memory node holding the initial valid copy (default 0, host RAM).
     """
 
+    __slots__ = (
+        "array",
+        "shape",
+        "dtype",
+        "nbytes",
+        "id",
+        "name",
+        "home_node",
+        "parent",
+        "children",
+        "parent_slice",
+        "_accesses",
+    )
+
     def __init__(
         self,
         shape: Optional[Sequence[int]] = None,
@@ -80,8 +94,13 @@ class DataHandle:
             if shape is None:
                 raise DataError("DataHandle needs a shape or a backing array")
             self.array = None
-            self.shape = tuple(int(s) for s in shape)
+            self.shape = tuple(map(int, shape))
             self.dtype = np.dtype(dtype)
+        # shape and dtype never change after construction
+        nbytes = self.dtype.itemsize
+        for s in self.shape:
+            nbytes *= s
+        self.nbytes: int = nbytes
         self.id = next(_handle_ids)
         self.name = name or f"h{self.id}"
         self.home_node = home_node
@@ -94,13 +113,6 @@ class DataHandle:
         self._accesses: dict = {}
 
     # -- geometry -----------------------------------------------------------
-    @property
-    def nbytes(self) -> int:
-        n = self.dtype.itemsize
-        for s in self.shape:
-            n *= s
-        return n
-
     @property
     def ndim(self) -> int:
         return len(self.shape)
@@ -122,10 +134,6 @@ class DataHandle:
             name=name,
             home_node=self.home_node,
         )
-        if view is None:
-            # metadata-only child keeps declared shape/dtype
-            child.shape = tuple(shape)
-            child.dtype = self.dtype
         child.parent = self
         child.parent_slice = parent_slice
         self.children.append(child)

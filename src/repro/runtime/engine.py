@@ -44,7 +44,6 @@ from repro.errors import (
     PropertyError,
     RuntimeEngineError,
     SchedulerError,
-    TaskFailureError,
     WatchdogTimeoutError,
     WorkerFailureError,
 )
@@ -57,11 +56,11 @@ from repro.perf.calibration import TASK_SCHEDULING_OVERHEAD_S
 from repro.perf.models import PerfModel
 from repro.perf.transfer import TransferModel
 from repro.runtime.capacity import MemoryCapacityManager
-from repro.runtime.coherence import CoherenceDirectory, TransferNeed
+from repro.runtime.coherence import CoherenceDirectory
 from repro.runtime.data import DataHandle
 from repro.runtime.faults import FaultPolicy, ProgressClock
+from repro.runtime.loop import SimLoop
 from repro.runtime.schedulers import Scheduler, make_scheduler
-from repro.runtime.simclock import EventQueue
 from repro.runtime.tasks import (
     DependencyTracker,
     RuntimeTask,
@@ -112,12 +111,6 @@ def _availability(pu: ProcessingUnit) -> "tuple[bool, Optional[Diagnostic]]":
             subject=pu.id,
             hint="set AVAILABLE to true/false (or remove the property)",
         )
-
-
-def _is_available(pu: ProcessingUnit) -> bool:
-    """Boolean-only view of :func:`_availability` (diagnostic dropped)."""
-    ok, _ = _availability(pu)
-    return ok
 
 
 class _EngineCostModel:
@@ -215,9 +208,11 @@ class _VectorCostModel:
         #: residency id → per-group ideal read-fetch seconds (None = all 0)
         self._residency_rows: list[Optional[np.ndarray]] = []
         #: (cost signature id, residency ids of the reads in access
-        #: order) → exec row + transfer row; the order keeps the scalar
-        #: loop's float-summation order
-        self._cost_rows: dict[tuple, np.ndarray] = {}
+        #: order) → exec row + transfer row, or cost signature id → exec
+        #: row, with +inf on the lanes offline in ``_rows_offline``; the
+        #: access order keeps the scalar loop's float-summation order
+        self._cost_rows: dict = {}
+        self._rows_offline: set[str] = set()
         #: kernel kind id → bool support row over workers
         self._kind_rows: list[np.ndarray] = []
         self._kind_matrix: Optional[np.ndarray] = None
@@ -226,7 +221,8 @@ class _VectorCostModel:
     def kind_of(self, task: RuntimeTask) -> int:
         kid = task.kind_id
         if kid is None:
-            # task bypassed engine.submit (unit-test construction)
+            # task bypassed engine.submit (a serving request, or a
+            # unit-test construction)
             self._engine.task_table.add(task)
             kid = task.kind_id
         self._ensure_kind(kid)
@@ -251,7 +247,8 @@ class _VectorCostModel:
     def _sig_of(self, task: RuntimeTask) -> int:
         sid = task.cost_sig
         if sid is None:
-            # task bypassed engine.submit (unit-test construction)
+            # task bypassed engine.submit (a serving request, or a
+            # unit-test construction)
             self._engine.task_table.add(task)
             sid = task.cost_sig
         return sid
@@ -332,28 +329,31 @@ class _VectorCostModel:
     def cost_row(self, task: RuntimeTask, data_aware: bool) -> np.ndarray:
         # callers treat the row as read-only, so memoized rows are
         # returned as-is
+        offline = self._engine._offline
+        if offline != self._rows_offline:
+            # memoized rows carry the offline mask of the fleet they were
+            # built for; lanes go on- and offline rarely
+            self._rows_offline = set(offline)
+            self._cost_rows.clear()
         if data_aware:
             residency = self._residency
             key = (
                 self._sig_of(task),
                 tuple([residency(a.handle) for a in task.accesses if a.mode.reads]),
             )
-            row = self._cost_rows.get(key)
-            if row is None:
-                row = self.exec_row(task)
+        else:
+            key = self._sig_of(task)
+        row = self._cost_rows.get(key)
+        if row is None:
+            row = self.exec_row(task)
+            if data_aware:
                 extra = self._transfer_row(key[1])
                 if extra is not None:
                     row = row + extra
-                self._cost_rows[key] = row
-        else:
-            row = self.exec_row(task)
-        offline = self._engine._offline
-        if offline:
-            mask = np.array(
-                [w.instance_id in offline for w in self._engine.workers],
-                dtype=bool,
-            )
-            row = np.where(mask, np.inf, row)
+            if offline:
+                mask = [w.instance_id in offline for w in self._engine.workers]
+                row = np.where(mask, np.inf, row)
+            self._cost_rows[key] = row
         return row
 
     def eager_mask(self, kinds: np.ndarray, worker_index: int) -> np.ndarray:
@@ -363,6 +363,10 @@ class _VectorCostModel:
             # caller's `live & mask`, skipping the fancy index
             return m[0, worker_index]
         return m[kinds, worker_index]
+
+    def forget(self, handle: DataHandle) -> None:
+        """Drop the per-handle residency entry of a retired datum."""
+        self._handle_residency.pop(handle.id, None)
 
     def worker_online(self, worker_index: int) -> bool:
         offline = self._engine._offline
@@ -467,7 +471,7 @@ class RuntimeEngine:
         self.prefetch = prefetch
         #: enforce MemoryRegion SIZE limits with LRU eviction + write-back
         self.model_capacity = model_capacity
-        self.capacity: Optional["MemoryCapacityManager"] = None
+        self.capacity: Optional[MemoryCapacityManager] = None
 
         # --- memory nodes -------------------------------------------------
         # node 0 is host RAM anchored at the first Master; every non-Master
@@ -521,8 +525,7 @@ class RuntimeEngine:
             model_interference=model_interference,
         )
         self.coherence = CoherenceDirectory()
-        #: struct-of-arrays mirror of the task population (state /
-        #: kernel / signature / worker / ready-time columns)
+        #: kernel and cost-signature interning for the cost rows
         self.task_table = TaskTable()
         self.scheduler: Scheduler = (
             scheduler if isinstance(scheduler, Scheduler) else make_scheduler(scheduler)
@@ -589,17 +592,7 @@ class RuntimeEngine:
             raise RuntimeEngineError(
                 "engine already ran; create a new engine for another run"
             )
-        if kernel not in self._runnable_kernels:
-            kernel_def = self.registry.get(kernel)  # raises on unknown kernel
-            if not any(kernel_def.supports(w.architecture) for w in self.workers):
-                raise SchedulerError(
-                    f"kernel {kernel!r} has no implementation for any worker"
-                    f" architecture on platform {self.platform.name!r}"
-                    f" (architectures: {sorted({w.architecture for w in self.workers})})"
-                )
-            # registries only gain kernels and variants, so a kernel that
-            # has a lane once keeps it for the life of the engine
-            self._runnable_kernels.add(kernel)
+        self.check_runnable(kernel)
         task = RuntimeTask(
             kernel, accesses, dims=dims, args=args, priority=priority, tag=tag,
             # run-local ids (1..n in submit order): two engines fed the
@@ -617,6 +610,23 @@ class RuntimeEngine:
         self._tasks.append(task)
         self.task_table.add(task)
         return task
+
+    def check_runnable(self, kernel: str) -> None:
+        """Raise unless some lane implements ``kernel``: a
+        :class:`~repro.errors.KernelError` for an unknown kernel, a
+        :class:`~repro.errors.SchedulerError` for one no lane runs."""
+        if kernel in self._runnable_kernels:
+            return
+        kernel_def = self.registry.get(kernel)
+        if not any(kernel_def.supports(w.architecture) for w in self.workers):
+            raise SchedulerError(
+                f"kernel {kernel!r} has no implementation for any worker"
+                f" architecture on platform {self.platform.name!r}"
+                f" (architectures: {sorted({w.architecture for w in self.workers})})"
+            )
+        # registries only gain kernels and variants, so a kernel that has
+        # a lane once keeps it for the life of the engine
+        self._runnable_kernels.add(kernel)
 
     @property
     def task_count(self) -> int:
@@ -732,331 +742,10 @@ class RuntimeEngine:
         if self._ran:
             raise RuntimeEngineError("engine already ran")
         self._ran = True
-        policy = fault_policy if fault_policy is not None else FaultPolicy()
-        fault_stats = {
-            "task_failures": 0,
-            "retries": 0,
-            "requeues": 0,
-            "worker_failures": 0,
-        }
         wall_start = _time.perf_counter()
-
-        clock = EventQueue()
-        trace = TraceLog()
-        self.transfer_model.reset()
-        self.coherence.reset()
-        for worker in self.workers:
-            worker.reset()
-
-        if self.model_capacity:
-            node_capacity: dict[int, Optional[float]] = {0: None}
-            for node, anchor_id in self.node_anchor.items():
-                if node == 0:
-                    continue
-                anchor = self.platform.pu(anchor_id)
-                sizes = [
-                    r.size_bytes
-                    for r in anchor.memory_regions
-                    if r.size_bytes is not None
-                ]
-                node_capacity[node] = sum(sizes) if sizes else None
-            self.capacity = MemoryCapacityManager(self.coherence, node_capacity)
-
-        def charge_writeback(need: TransferNeed, when: float) -> float:
-            est = self.transfer_model.schedule(
-                self.node_anchor[need.src_node],
-                self.node_anchor[need.dst_node],
-                need.nbytes,
-                when,
-            )
-            trace.record_transfer(
-                TransferTrace(
-                    handle_name=need.handle.name,
-                    nbytes=need.nbytes,
-                    src_node=need.src_node,
-                    dst_node=need.dst_node,
-                    start=est.start,
-                    end=est.finish,
-                )
-            )
-            return est.finish
-
-        pending = sum(1 for t in self._tasks if t.state != TaskState.DONE)
-        written_handles: dict[int, DataHandle] = {}
-        idle: dict[str, WorkerContext] = {}
-        worker_by_id = {w.instance_id: w for w in self.workers}
-        worker_pos = {w.instance_id: i for i, w in enumerate(self.workers)}
-        table = self.task_table
-        # vectorized mode routes per-task resolution through the memoized
-        # lanes (identical results); scalar mode keeps the reference
-        # implementations so the two paths stay independently checkable
-        vec = self._vec_cost
-        required_transfer = (
-            self.coherence.required_transfer_cached
-            if vec is not None
-            else self.coherence.required_transfer
-        )
-        #: task id → (memory node prefetch targeted, initiation time);
-        #: commits are deferred until the task actually starts there
-        prefetched_until: dict[int, tuple[int, float]] = {}
-
-        def wake_idle() -> None:
-            for worker in list(idle.values()):
-                del idle[worker.instance_id]
-                clock.schedule_call_in(0.0, worker_tick, worker)
-
-        def worker_tick(worker: WorkerContext) -> None:
-            now = clock.now
-            if worker.instance_id in self._offline:
-                return  # taken down by a dynamic event; no new work
-            if now < worker.busy_until - 1e-15:
-                return  # still executing; its completion event will re-tick
-            task = self.scheduler.next_task(worker, now)
-            if task is None:
-                idle[worker.instance_id] = worker
-                return
-            start_task(task, worker, now)
-
-        def stage_operands(
-            task: RuntimeTask, worker: WorkerContext, now: float
-        ) -> float:
-            """Schedule missing-operand transfers; returns their finish time."""
-            node = worker.memory_node
-            data_ready = now
-            for access in task.accesses:
-                need = required_transfer(access.handle, node, access.mode)
-                if need is None:
-                    # already resident (or write-only): room still needed
-                    # for write-only claims under capacity modeling
-                    if self.capacity is not None:
-                        if self.coherence.is_valid_on(access.handle, node):
-                            self.capacity.touch(access.handle, node, now)
-                        elif access.mode.writes:
-                            ready = self.capacity.make_room(
-                                node, access.handle.nbytes, now,
-                                writeback=charge_writeback,
-                            )
-                            self.capacity.note_resident(
-                                access.handle, node, ready
-                            )
-                            data_ready = max(data_ready, ready)
-                    continue
-                start_at = now
-                if self.capacity is not None:
-                    start_at = self.capacity.make_room(
-                        node, need.nbytes, now, writeback=charge_writeback
-                    )
-                est = self.transfer_model.schedule(
-                    self.node_anchor[need.src_node],
-                    worker.entity_id,
-                    need.nbytes,
-                    start_at,
-                )
-                self.coherence.note_transfer(need)
-                if self.capacity is not None:
-                    self.capacity.note_resident(access.handle, node, est.finish)
-                trace.record_transfer(
-                    TransferTrace(
-                        handle_name=need.handle.name,
-                        nbytes=need.nbytes,
-                        src_node=need.src_node,
-                        dst_node=node,
-                        start=est.start,
-                        end=est.finish,
-                    )
-                )
-                data_ready = max(data_ready, est.finish)
-            return data_ready
-
-        def start_task(task: RuntimeTask, worker: WorkerContext, now: float) -> None:
-            if task.fault_armed:
-                # an injected TaskFault armed before the task started:
-                # this attempt fails immediately; the retry policy decides
-                task.fault_armed = False
-                fail_attempt(task, now, worker.instance_id, "injected task fault")
-                clock.schedule_call_in(0.0, worker_tick, worker)
-                return
-            task.state = TaskState.RUNNING
-            table.state[task.table_index] = 2  # RUNNING
-            table.worker[task.table_index] = worker_pos[worker.instance_id]
-            # pin the task's working set first so staging one operand can
-            # never evict another operand of the same task
-            if self.capacity is not None:
-                for access in task.accesses:
-                    self.capacity.pin(access.handle, worker.memory_node)
-            # stage operands; a prefetch noted for this worker's node is
-            # committed here, back-dated to its initiation time, so the
-            # transfers overlap the previous task's compute — and a task
-            # that was drained or stolen after the peek never charges
-            # transfers or link occupancy it did not use
-            staged = prefetched_until.pop(task.id, None)
-            stage_at = now
-            if staged is not None and staged[0] == worker.memory_node:
-                stage_at = staged[1]
-            data_ready = max(now, stage_operands(task, worker, stage_at))
-            transfer_wait = data_ready - now
-
-            start = data_ready + self.task_overhead_s
-            if vec is not None:
-                duration = vec.truth_duration(task, worker)
-            else:
-                duration = self.exec_estimate(task, worker)
-            end = start + duration
-
-            # coherence transition at start (write ownership is claimed
-            # when the kernel begins mutating the buffer)
-            for access in task.accesses:
-                self.coherence.note_access(
-                    access.handle, worker.memory_node, access.mode
-                )
-                if access.mode.writes:
-                    written_handles[access.handle.id] = access.handle
-                if self.capacity is not None and access.mode.writes:
-                    self.capacity.note_invalidated(
-                        access.handle, worker.memory_node
-                    )
-                    self.capacity.note_resident(
-                        access.handle, worker.memory_node, start
-                    )
-
-            worker.busy_until = end
-            worker.is_idle = False
-            task.worker_id = worker.instance_id
-            task.start_time = start
-            task.end_time = end
-            incarnation = task.incarnation
-            clock.schedule_call(
-                end, finish_task, (task, worker, transfer_wait, incarnation)
-            )
-
-            # data prefetch: note the *next* queued task's operands for
-            # staging while this one computes (StarPU's dmda-prefetch
-            # behaviour); the commit is deferred to its own start
-            if self.prefetch:
-                upcoming = self.scheduler.peek(worker)
-                if (
-                    upcoming is not None
-                    and upcoming.id not in prefetched_until
-                ):
-                    prefetched_until[upcoming.id] = (worker.memory_node, now)
-
-        def finish_task(item: tuple) -> None:
-            # single-tuple signature: scheduled through the clock's
-            # closure-free lane (no per-completion lambda allocation)
-            task, worker, transfer_wait, incarnation = item
-            nonlocal pending
-            now = clock.now
-            if task.incarnation != incarnation or task.state is not TaskState.RUNNING:
-                return  # attempt aborted by a fault event; stale completion
-            # the payload runs at completion, not dispatch, so an aborted
-            # attempt never half-applies a non-idempotent kernel
-            if self.execute_kernels:
-                self._execute_payload(task, worker)
-            task.state = TaskState.DONE
-            table.state[task.table_index] = 3  # DONE
-            pending -= 1
-            # start_task set both times for this incarnation
-            worker.busy_time += task.end_time - task.start_time
-            worker.tasks_executed += 1
-            if self.capacity is not None:
-                for access in task.accesses:
-                    self.capacity.unpin(access.handle, worker.memory_node)
-                    self.capacity.touch(access.handle, worker.memory_node, now)
-            trace.record_task(
-                TaskTrace(
-                    task.id,
-                    task.tag,
-                    task.kernel,
-                    worker.instance_id,
-                    worker.architecture,
-                    task.start_time,
-                    now,
-                    transfer_wait,
-                )
-            )
-            woke = False
-            for dep in task.dependents:
-                if dep.notify_producer_done():
-                    dep.state = TaskState.READY
-                    table.mark_ready(dep.table_index, now)
-                    self.scheduler.task_ready(dep, now)
-                    woke = True
-            if woke:
-                wake_idle()
-            worker_tick(worker)
-
-        def record_fault(kind: str, task_tag: str, worker_id: str, detail: str) -> None:
-            trace.record_fault(
-                FaultTrace(kind, clock.now, task_tag, worker_id, detail)
-            )
-
-        def release_pins(task: RuntimeTask, worker: WorkerContext) -> None:
-            if self.capacity is not None:
-                for access in task.accesses:
-                    self.capacity.unpin(access.handle, worker.memory_node)
-
-        def fail_attempt(
-            task: RuntimeTask, now: float, worker_id: str, detail: str
-        ) -> None:
-            """One execution attempt failed; retry with backoff or give up."""
-            task.incarnation += 1
-            task.attempt += 1
-            task.last_error = detail
-            fault_stats["task_failures"] += 1
-            record_fault("task-fault", task.tag, worker_id or "", detail)
-            if task.state is TaskState.RUNNING:
-                worker = worker_by_id[task.worker_id]
-                release_pins(task, worker)
-                worker.busy_until = now
-                clock.schedule_call_in(0.0, worker_tick, worker)
-            task.worker_id = None
-            task.start_time = task.end_time = None
-            table.worker[task.table_index] = -1
-            if task.attempt > policy.max_retries:
-                task.state = TaskState.FAILED
-                table.state[task.table_index] = 4  # FAILED
-                raise TaskFailureError(
-                    f"task {task.tag!r} failed permanently after"
-                    f" {task.attempt} attempt(s); last error: {detail}",
-                    task_tag=task.tag,
-                    attempts=task.attempt,
-                )
-            task.state = TaskState.READY
-            table.state[task.table_index] = 1  # READY
-            fault_stats["retries"] += 1
-            delay = policy.backoff(task.attempt)
-            record_fault(
-                "retry", task.tag, worker_id or "",
-                f"attempt {task.attempt + 1} after {delay:.4g}s backoff",
-            )
-
-            def resubmit(t=task):
-                self.scheduler.task_ready(t, clock.now)
-                wake_idle()
-
-            clock.schedule_in(delay, resubmit)
-
-        def abort_inflight(worker: WorkerContext, now: float, reason: str) -> None:
-            """Requeue the task executing on a faulted lane (work lost)."""
-            for task in self._tasks:
-                if (
-                    task.state is TaskState.RUNNING
-                    and task.worker_id == worker.instance_id
-                ):
-                    task.incarnation += 1  # the scheduled finish is void
-                    release_pins(task, worker)
-                    task.worker_id = None
-                    task.start_time = task.end_time = None
-                    task.state = TaskState.READY
-                    table.state[task.table_index] = 1  # READY
-                    table.worker[task.table_index] = -1
-                    fault_stats["requeues"] += 1
-                    record_fault("requeue", task.tag, worker.instance_id, reason)
-                    self.scheduler.task_ready(task, now)
-            worker.busy_until = now
+        loop = SimLoop(self, TraceLog(), fault_policy=fault_policy)
 
         def on_dynamic_event(event) -> None:
-            now = clock.now
             event.apply(self.platform)
             if isinstance(event, TaskFault):
                 target = next(
@@ -1070,22 +759,16 @@ class RuntimeEngine:
                 if target.state in (TaskState.DONE, TaskState.FAILED):
                     return  # completed before the fault landed
                 if target.state is TaskState.RUNNING:
-                    fail_attempt(target, now, target.worker_id, event.describe())
+                    loop.fail_attempt(target, target.worker_id, event.describe())
                 else:
                     target.fault_armed = True
-                wake_idle()
+                loop.wake()
                 return
             # descriptor properties feed the cost models; drop stale rates
-            self.perf.invalidate()
-            if self.sched_perf is not self.perf:
-                self.sched_perf.invalidate()
             if event.affects_interconnect:
                 self.transfer_model.invalidate_routes()
-            if self._vec_cost is not None:
-                # memoized execution and transfer rows are derived from
-                # the (now stale) model caches and link parameters;
-                # rebuild on next score
-                self._vec_cost.invalidate()
+            self.invalidate_estimates()
+            fault = event.describe() if isinstance(event, WorkerFault) else None
             for worker in self.workers:
                 if worker.entity_id != event.pu_id:
                     continue
@@ -1093,57 +776,36 @@ class RuntimeEngine:
                 if diag is not None:
                     self.diagnostics.append(diag)
                 if available:
-                    if worker.instance_id in self._offline and not worker.retired:
-                        self._offline.discard(worker.instance_id)
-                        idle.pop(worker.instance_id, None)
-                        clock.schedule_call_in(0.0, worker_tick, worker)
+                    loop.lane_online(worker)
                 else:
-                    if worker.instance_id not in self._offline:
-                        self._offline.add(worker.instance_id)
-                        idle.pop(worker.instance_id, None)
-                        if isinstance(event, WorkerFault):
-                            # abrupt death: in-flight work is lost and
-                            # requeued; the lane never comes back
-                            worker.retired = True
-                            fault_stats["worker_failures"] += 1
-                            record_fault(
-                                "worker-fault", "", worker.instance_id,
-                                event.describe(),
-                            )
-                            abort_inflight(worker, now, event.describe())
-                        # re-queue whatever was bound to this worker
-                        for task in self.scheduler.drain(worker):
-                            fault_stats["requeues"] += 1
-                            record_fault(
-                                "requeue", task.tag, worker.instance_id,
-                                "queued work drained off offline lane",
-                            )
-                            self.scheduler.task_ready(task, now)
-            wake_idle()
+                    # a worker fault loses the in-flight attempt and the
+                    # lane for good; a plain offline lane finishes it
+                    loop.lane_offline(
+                        worker, "queued work drained off offline lane", fault=fault
+                    )
+            loop.wake()
 
-        # seed: initially-ready tasks and all workers
         for task in self._tasks:
             if task.ready:
-                task.state = TaskState.READY
-                table.mark_ready(task.table_index, 0.0)
-                self.scheduler.task_ready(task, 0.0)
-        for worker in self.workers:
-            clock.schedule_call(0.0, worker_tick, worker)
+                loop.release(task, 0.0)
         for when, event in dynamic_events or ():
-            clock.schedule_call(float(when), on_dynamic_event, event)
+            loop.clock.schedule_call(float(when), on_dynamic_event, event)
 
-        clock.run()
+        loop.run()
 
+        pending = len(self._tasks) - loop.done
         if pending:
             raise RuntimeEngineError(
                 self._stall_diagnosis("simulation", pending, self.workers)
             )
 
+        trace = loop.trace
         makespan = trace.makespan
         if gather_to_home:
-            makespan = self._gather(written_handles.values(), makespan, trace)
+            makespan = self._gather(loop.written.values(), makespan, trace)
 
         wall = _time.perf_counter() - wall_start
+        stats = loop.stats
         return RunResult(
             makespan=makespan,
             mode="sim",
@@ -1159,12 +821,25 @@ class RuntimeEngine:
             writeback_bytes=(
                 self.capacity.writeback_bytes if self.capacity is not None else 0.0
             ),
-            task_failures=fault_stats["task_failures"],
-            retry_count=fault_stats["retries"],
-            requeue_count=fault_stats["requeues"],
-            worker_failures=fault_stats["worker_failures"],
+            task_failures=stats["task_failures"],
+            retry_count=stats["retries"],
+            requeue_count=stats["requeues"],
+            worker_failures=stats["worker_failures"],
             diagnostics=self._diagnostic_payloads(),
         )
+
+    def invalidate_estimates(self) -> None:
+        """Drop every memoized estimate after the models changed: the
+        perf models' caches and the vectorized cost rows (a dynamic
+        event re-instantiated properties, or a history model refit)."""
+        self.perf.invalidate()
+        if self.sched_perf is not self.perf:
+            self.sched_perf.invalidate()
+        if self._vec_cost is not None:
+            # memoized execution and transfer rows are derived from the
+            # (now stale) model caches and link parameters; rebuilt on
+            # the next score
+            self._vec_cost.invalidate()
 
     def _diagnostic_payloads(self) -> list:
         """Runtime findings in canonical order as JSON payloads, so the

@@ -18,8 +18,6 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Sequence
 
-import numpy as np
-
 from repro.errors import RuntimeEngineError
 from repro.runtime.coherence import AccessMode
 from repro.runtime.data import DataHandle
@@ -116,7 +114,6 @@ class RuntimeTask:
         "worker_id",
         "start_time",
         "end_time",
-        "table_index",
         "kind_id",
         "cost_sig",
         "attempt",
@@ -161,7 +158,6 @@ class RuntimeTask:
         self.end_time: Optional[float] = None
 
         # filled by TaskTable.add for engine-managed tasks
-        self.table_index: Optional[int] = None
         self.kind_id: Optional[int] = None
         self.cost_sig: Optional[int] = None
 
@@ -238,78 +234,25 @@ def task_signature(task: RuntimeTask) -> tuple:
     return (task.kernel, tuple(dims))
 
 
-# numeric task-state codes for the SoA table (stable, part of the
-# introspection payload; do not renumber)
-_STATE_CODE = {
-    TaskState.BLOCKED: 0,
-    TaskState.READY: 1,
-    TaskState.RUNNING: 2,
-    TaskState.DONE: 3,
-    TaskState.FAILED: 4,
-}
-
-
 class TaskTable:
-    """Struct-of-arrays mirror of the engine's task population.
+    """Kernel and cost-signature interning for the engine's tasks.
 
-    Columns (one row per submitted task, indexed by ``task.table_index``):
-
-    ``state``
-        int8 task-state code (``_STATE_CODE`` order).
-    ``kernel_id`` / ``sig_id``
-        interned kernel name / cost signature (:func:`task_signature`).
-    ``worker``
-        int32 index of the worker the task ran on (-1 while unplaced).
-    ``ready_time``
-        sim seconds at which the task became ready (NaN until then).
-    ``priority``
-        float64 copy of the task's priority (scheduler tie-break).
-
-    The table is bookkeeping the vectorized engine reads in bulk —
-    signature interning feeds the batched cost rows, the state column
-    feeds cheap population counts — while scalar per-task objects remain
-    the API surface.  Updates are O(1) array stores.
+    :meth:`add` gives each task a small-integer kernel kind
+    (``task.kind_id``) and cost signature (``task.cost_sig``,
+    :func:`task_signature`), and remembers one task per signature.  The
+    vectorized cost model keys its execution rows, support rows and
+    cost-row memo on these ids instead of on per-task state.
     """
 
-    _GROW = 1024
-    #: column → (dtype, value of a row before anything is stored in it);
-    #: :meth:`add` stores only values that differ from these
-    _COLUMNS = {
-        "state": (np.int8, 0),
-        "kernel_id": (np.int32, 0),
-        "sig_id": (np.int32, 0),
-        "worker": (np.int32, -1),
-        "ready_time": (np.float64, np.nan),
-        "priority": (np.float64, 0.0),
-    }
-
     def __init__(self):
-        self._n = 0
-        for name, (dtype, default) in self._COLUMNS.items():
-            setattr(self, name, np.full(self._GROW, default, dtype=dtype))
         self._kernels: dict[str, int] = {}
         self.kernel_names: list[str] = []
         self._sigs: dict[tuple, int] = {}
         #: sig id → one task carrying that signature (cost-row probe)
         self.sig_representative: list[RuntimeTask] = []
 
-    def __len__(self) -> int:
-        return self._n
-
-    def _ensure_capacity(self) -> None:
-        if self._n < len(self.state):
-            return
-        for name, (dtype, default) in self._COLUMNS.items():
-            old = getattr(self, name)
-            grown = np.full(len(old) * 2, default, dtype=dtype)
-            grown[: len(old)] = old
-            setattr(self, name, grown)
-
-    def add(self, task: RuntimeTask) -> int:
-        """Intern ``task``; sets ``task.table_index``/``sig_id``/``kind_id``."""
-        self._ensure_capacity()
-        i = self._n
-        self._n += 1
+    def add(self, task: RuntimeTask) -> None:
+        """Intern ``task``; sets ``task.kind_id`` and ``task.cost_sig``."""
         kid = self._kernels.get(task.kernel)
         if kid is None:
             kid = len(self.kernel_names)
@@ -321,38 +264,8 @@ class TaskTable:
             sid = len(self.sig_representative)
             self._sigs[sig] = sid
             self.sig_representative.append(task)
-        state = _STATE_CODE[task.state]
-        if state:
-            self.state[i] = state
-        if kid:
-            self.kernel_id[i] = kid
-        if sid:
-            self.sig_id[i] = sid
-        if task.priority:
-            self.priority[i] = task.priority
-        task.table_index = i
         task.kind_id = kid
         task.cost_sig = sid
-        return i
-
-    # -- O(1) column stores, called from the engine's hot path ---------
-    def set_state(self, index: int, state: TaskState) -> None:
-        self.state[index] = _STATE_CODE[state]
-
-    def mark_ready(self, index: int, now: float) -> None:
-        self.state[index] = 1
-        self.ready_time[index] = now
-
-    def assign(self, index: int, worker_index: int) -> None:
-        self.worker[index] = worker_index
-
-    # -- bulk views ----------------------------------------------------
-    def state_counts(self) -> dict[str, int]:
-        """Task-state name → population count (one bincount)."""
-        counts = np.bincount(self.state[: self._n], minlength=len(_STATE_CODE))
-        return {
-            state.value: int(counts[code]) for state, code in _STATE_CODE.items()
-        }
 
     def signature_count(self) -> int:
         return len(self.sig_representative)

@@ -29,7 +29,6 @@ class WorkerContext:
 
     # -- simulation state ------------------------------------------------
     busy_until: float = 0.0
-    is_idle: bool = True
     #: accumulated busy seconds (exec only, not transfers)
     busy_time: float = 0.0
     tasks_executed: int = 0
@@ -39,7 +38,6 @@ class WorkerContext:
 
     def reset(self) -> None:
         self.busy_until = 0.0
-        self.is_idle = True
         self.busy_time = 0.0
         self.tasks_executed = 0
         self.retired = False

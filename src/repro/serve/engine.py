@@ -1,30 +1,29 @@
-"""The long-lived serving loop: ingestion → scheduling → autoscaling → tuning.
+"""The long-lived serving front end: ingestion → scheduling → autoscaling → tuning.
 
-:class:`ServeEngine` is a discrete-event simulator purpose-built for
-*open-loop streams of independent tasks*, reusing the runtime's parts:
-the deterministic :class:`~repro.runtime.simclock.EventQueue`, the
-worker-lane expansion and memory-node mapping of
-:class:`~repro.runtime.engine.RuntimeEngine` (borrowed via an internal
-binding engine, the same trick the calibrator uses), the contention-aware
-:class:`~repro.perf.transfer.TransferModel` for operand staging, the
-scheduler zoo (plus :class:`~repro.serve.scheduler.DeadlineScheduler`),
-and :class:`~repro.runtime.trace.TraceLog` in its bounded ring mode.
+:class:`ServeEngine` is a front end on the runtime's own simulator loop
+(:class:`~repro.runtime.loop.SimLoop`) over a
+:class:`~repro.runtime.engine.RuntimeEngine` built from the platform:
+the same lane tick, task start and completion, operand staging through
+coherence and the contention-aware
+:class:`~repro.perf.transfer.TransferModel`, and cost rows from the
+vectorized cost model.  Each admitted request becomes a runtime task
+that reads one private, host-resident operand handle (``req-<id>``),
+dropped from the runtime's state when the request completes.
 
-One run weaves four loops together:
+Serving itself keeps four concerns:
 
 * **Ingestion** — each arrival passes per-tenant token buckets and the
   bounded-queue :class:`~repro.service.admission.CapacityGate` (the
   registry server's 429 machinery); rejects are shed, admits become
   :class:`~repro.serve.request.ServeTask` objects with absolute
-  deadlines.
-* **Execution** — lanes pull from the scheduler, stage operand bytes
-  host→device through the transfer model, and execute for the *truth*
-  perf model's duration (which may differ from what the scheduler's
-  model predicts — that gap is what online tuning closes).
-* **Autoscaling** — a fixed-cadence policy tick activates or drains
-  lanes; drain-down rides the scheduler's ``drain()`` rewind + requeue
-  path, so no queued task is stranded and dmda's est-free clocks stay
-  honest.
+  deadlines, released to the loop.
+* **Autoscaling** — a fixed-cadence policy tick brings lanes online or
+  takes them offline through the loop's lane calls.  Drain-down is the
+  runtime's drain/requeue path: queued tasks go back to the scheduler
+  (so dmda's est-free clocks stay honest) and the lane finishes its
+  in-flight task first.
+* **SLO accounting** — the loop's completion hook records latency and
+  deadline hits per tenant.
 * **Online tuning** — completed windows are folded into a
   :class:`~repro.tune.database.TuningDatabase` via
   :func:`~repro.tune.calibrate.harvest_run`, and the scheduler-side
@@ -41,11 +40,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
-from repro.errors import ServeError
+from repro.errors import KernelError, SchedulerError, ServeError
 from repro.model.platform import Platform
 from repro.obs import spans as _obs
 from repro.perf.calibration import TASK_SCHEDULING_OVERHEAD_S
-from repro.runtime.simclock import EventQueue
+from repro.runtime.engine import RuntimeEngine
+from repro.runtime.loop import SimLoop
 from repro.runtime.trace import FaultTrace, TaskTrace, TraceLog, TransferTrace
 from repro.runtime.workers import WorkerContext
 from repro.serve.autoscale import AutoscalePolicy, Autoscaler
@@ -122,54 +122,18 @@ class ServeConfig:
         }
 
 
-class _ServeCostModel:
-    """Scheduler-facing cost model over :class:`ServeTask` objects.
+class _WindowedTrace(TraceLog):
+    """The serving trace ring, which also keeps the transfers of the
+    current online-tuning window (a request stages its operand when it
+    starts, before the completion hook sees it)."""
 
-    ``supports`` folds in lane liveness (inactive and draining lanes take
-    no new work), which is how the autoscaler's fleet shape reaches the
-    scheduler.  Estimates are memoized per (kernel, dims, entity) and the
-    memo epoch is bumped whenever online tuning refits the history model.
-    """
+    def __init__(self, max_events: Optional[int]):
+        super().__init__(max_events=max_events)
+        self.window = TraceLog()
 
-    def __init__(self, engine: "ServeEngine"):
-        self._engine = engine
-        self._memo: dict[tuple, float] = {}
-        self._staging: dict[tuple, float] = {}
-        self.epoch = 0
-
-    def invalidate(self) -> None:
-        self._memo.clear()
-        self._staging.clear()
-        self.epoch += 1
-
-    def exec_estimate(self, task: ServeTask, worker: WorkerContext) -> float:
-        key = (task.kernel, task.dims, worker.entity_id)
-        est = self._memo.get(key)
-        if est is None:
-            est = self._engine._estimate_exec(
-                self._engine.sched_perf, task, worker
-            )
-            self._memo[key] = est
-        return est
-
-    def transfer_estimate(self, task: ServeTask, worker: WorkerContext) -> float:
-        if task.nbytes <= 0.0 or worker.memory_node == 0:
-            return 0.0
-        key = (worker.entity_id, task.nbytes)
-        est = self._staging.get(key)
-        if est is None:
-            est = self._engine.transfer_model.ideal_time(
-                self._engine.node_anchor[0], worker.entity_id, task.nbytes
-            )
-            self._staging[key] = est
-        return est
-
-    def supports(self, task: ServeTask, worker: WorkerContext) -> bool:
-        return (
-            worker.instance_id in self._engine._active
-            and worker.instance_id not in self._engine._draining
-            and worker.supports(self._engine.registry, task.kernel)
-        )
+    def record_transfer(self, trace: TransferTrace) -> None:
+        super().record_transfer(trace)
+        self.window.record_transfer(trace)
 
 
 class ServeEngine:
@@ -186,23 +150,8 @@ class ServeEngine:
         tuning_database=None,
         metrics=None,
     ):
-        from repro.runtime.engine import RuntimeEngine
-
         self.config = config or ServeConfig()
-        # binding engine: reuses RuntimeEngine's platform validation,
-        # worker expansion, node mapping and transfer model — the serving
-        # loop itself never runs it
-        binding = RuntimeEngine(
-            platform, scheduler="eager", registry=registry, vectorized=False
-        )
         self.platform = platform
-        self.registry = binding.registry
-        self.workers: list[WorkerContext] = binding.workers
-        self.node_anchor: dict[int, str] = binding.node_anchor
-        self.transfer_model = binding.transfer_model
-        self.truth_perf = (
-            truth_perf_model if truth_perf_model is not None else binding.perf
-        )
         self.metrics = metrics
 
         # scheduler-side model: explicit > online-tuned history > truth
@@ -210,33 +159,37 @@ class ServeEngine:
         self.digest: Optional[str] = None
         self._harvests = 0
         self._harvested_samples = 0
-        if sched_perf_model is not None:
-            self.sched_perf = sched_perf_model
-        elif self.config.online_tuning:
-            from repro.pdl.catalog import content_digest
-            from repro.pdl.writer import write_pdl
-            from repro.tune.database import TuningDatabase
-            from repro.tune.model import HistoryPerfModel
-
-            if self.tuning_database is None:
-                self.tuning_database = TuningDatabase()
-            self.digest = content_digest(write_pdl(platform))
-            self.sched_perf = HistoryPerfModel(
-                self.tuning_database, self.digest, blend=self.config.tuning_blend
-            )
-        else:
-            self.sched_perf = self.truth_perf
-        if self.config.online_tuning and self.digest is None:
+        if self.config.online_tuning:
             from repro.pdl.catalog import content_digest
             from repro.pdl.writer import write_pdl
 
             self.digest = content_digest(write_pdl(platform))
+            if sched_perf_model is None:
+                from repro.tune.database import TuningDatabase
+                from repro.tune.model import HistoryPerfModel
 
-        self.scheduler = make_serve_scheduler(
-            self.config.scheduler, miss_weight=self.config.miss_weight
+                if self.tuning_database is None:
+                    self.tuning_database = TuningDatabase()
+                sched_perf_model = HistoryPerfModel(
+                    self.tuning_database, self.digest,
+                    blend=self.config.tuning_blend,
+                )
+
+        self.runtime = RuntimeEngine(
+            platform,
+            scheduler=make_serve_scheduler(
+                self.config.scheduler, miss_weight=self.config.miss_weight
+            ),
+            registry=registry,
+            perf_model=truth_perf_model,
+            sched_perf_model=sched_perf_model,
+            task_overhead_s=self.config.task_overhead_s,
         )
-        self.cost_model = _ServeCostModel(self)
-        self.scheduler.attach(self.workers, self.cost_model)
+        self.registry = self.runtime.registry
+        self.workers: list[WorkerContext] = self.runtime.workers
+        self.node_anchor: dict[int, str] = self.runtime.node_anchor
+        self.sched_perf = self.runtime.sched_perf
+        self.scheduler = self.runtime.scheduler
 
         # fleet shape: activation order puts one lane per architecture
         # first (the always-on "core", so every fleet-supported kernel
@@ -253,8 +206,6 @@ class ServeEngine:
         self._lane_order: list[str] = list(core.values()) + rest
         self._lane_of = {w.instance_id: w for w in self.workers}
         self.autoscaler = Autoscaler(self.config.autoscale, len(self.workers))
-        self._active: set[str] = set()
-        self._draining: set[str] = set()
 
         # admission machinery (shared with the registry server)
         self.capacity_gate = CapacityGate(self.config.max_queue)
@@ -264,81 +215,66 @@ class ServeEngine:
         )
         self._consecutive_shed: dict[str, int] = {}
 
-        self.clock = EventQueue()
-        self.trace = TraceLog(max_events=self.config.trace_max_events)
+        self.trace: TraceLog = (
+            _WindowedTrace(self.config.trace_max_events)
+            if self.config.online_tuning
+            else TraceLog(max_events=self.config.trace_max_events)
+        )
+        #: the runtime's event loop; its lanes are the fleet, offline
+        #: while inactive or draining
+        self.loop = SimLoop(self.runtime, self.trace, on_complete=self._on_complete)
         self.slo = SLOTracker(
             latency_window=self.config.latency_window, metrics=metrics
         )
-        self._live: dict[int, ServeTask] = {}
         self._next_id = 0
         self._arrivals: Optional[Iterable[TaskRequest]] = None
         self._stream_open = False
-        self.requeues = 0
-        self.completed = 0
 
-        # harvest window (online tuning)
-        self._window_tasks: list[ServeTask] = []
-        self._window_trace = TraceLog()
-        #: harvest_run reads ``engine._tasks``; points at the current window
-        self._tasks: list[ServeTask] = self._window_tasks
+        #: the tasks completed in the current online-tuning window (the
+        #: name ``harvest_run`` reads a run's tasks under)
+        self._tasks: list[ServeTask] = []
 
     # -- configuration -------------------------------------------------------
     def limit_tenant(self, tenant: str, rate_per_s: float, burst: float) -> None:
         """Give one tenant an explicit token-bucket budget."""
         self.rate_limiter.configure(tenant, rate_per_s, burst)
 
-    # -- cost plumbing -------------------------------------------------------
-    def _estimate_exec(self, model, task: ServeTask, worker: WorkerContext) -> float:
-        kernel_def = self.registry.get(task.kernel)
-        dims = task.dims
-        return model.estimate(
-            worker.pu,
-            kernel=task.kernel,
-            flops=kernel_def.flops(dims),
-            bytes_touched=kernel_def.bytes_touched(dims),
-            dims=dims if len(dims) == 3 else None,
-        )
-
     def _fleet_supports(self, kernel: str) -> bool:
         try:
-            kernel_def = self.registry.get(kernel)
-        except Exception:
+            self.runtime.check_runnable(kernel)
+        except (KernelError, SchedulerError):
             return False
-        return any(
-            kernel_def.supports(w.architecture) for w in self.workers
-        )
+        return True
 
     # -- fleet shape ---------------------------------------------------------
     def _activate_initial(self) -> None:
         want = max(self.autoscaler.initial_active(), len(self._core))
-        for instance_id in self._lane_order[:want]:
-            self._active.add(instance_id)
-        self.autoscaler.observe(len(self._active))
+        for instance_id in self._lane_order[want:]:
+            # nothing is queued yet, so nothing is requeued
+            self.loop.lane_offline(self._lane_of[instance_id], "inactive")
+        self.autoscaler.observe(want)
 
     def _activate_lanes(self, count: int) -> int:
-        """Turn on up to ``count`` inactive lanes; returns how many."""
-        now = self.clock.now
+        """Bring up to ``count`` offline lanes online; returns how many."""
         moved = 0
         for instance_id in self._lane_order:
             if moved == count:
                 break
-            if instance_id in self._active:
-                continue
-            self._draining.discard(instance_id)
-            self._active.add(instance_id)
-            moved += 1
-            self.clock.schedule_call(now, self._worker_tick, instance_id)
+            if instance_id in self.loop.offline:
+                self.loop.lane_online(self._lane_of[instance_id])
+                moved += 1
         return moved
 
     def _retire_candidate(self) -> Optional[str]:
-        """Last activatable lane that is not core and not draining;
-        prefer an idle one so retirement is instant."""
+        """Last online lane that is not core; prefer an idle one so
+        retirement is instant."""
+        offline = self.loop.offline
         candidates = [
             iid
             for iid in reversed(self._lane_order)
-            if iid in self._active and iid not in self._core
+            if iid not in offline and iid not in self._core
         ]
-        now = self.clock.now
+        now = self.loop.clock.now
         for iid in candidates:
             if self._lane_of[iid].busy_until <= now + _EPS:
                 return iid
@@ -346,41 +282,18 @@ class ServeEngine:
 
     def _retire_lane(self, instance_id: str) -> None:
         """Graceful drain-down: requeue queued work, finish in-flight."""
-        now = self.clock.now
-        worker = self._lane_of[instance_id]
-        # order matters: deactivate first so supports() excludes the lane,
-        # then drain + requeue — re-placement can never land back on it
-        self._active.discard(instance_id)
-        drained = self.scheduler.drain(worker)
-        for task in drained:
-            self.requeues += 1
-            self.trace.record_fault(
-                FaultTrace(
-                    kind="requeue",
-                    time=now,
-                    task_tag=task.tag,
-                    worker_id=instance_id,
-                    detail="autoscale-retire",
-                )
-            )
-            self.scheduler.task_ready(task, now)
-        if worker.busy_until > now + _EPS:
-            # in-flight task finishes on this lane; completion closes it
-            self._draining.add(instance_id)
-        if drained:
-            self._kick_idle(now)
+        self.loop.lane_offline(self._lane_of[instance_id], "autoscale-retire")
+        self.loop.wake()
 
     def _autoscale_tick(self, _arg=None) -> None:
         if self._finished():
             return
-        now = self.clock.now
+        clock = self.loop.clock
+        now = clock.now
         backlog = self.scheduler.pending_count()
-        active = len(self._active)
-        idle = sum(
-            1
-            for iid in self._active
-            if self._lane_of[iid].busy_until <= now + _EPS
-        )
+        online = [w for w in self.workers if w.instance_id not in self.loop.offline]
+        active = len(online)
+        idle = sum(1 for w in online if w.busy_until <= now + _EPS)
         if self.metrics is not None:
             self.metrics.gauge("serve.active_workers").set(active)
             self.metrics.gauge("serve.queue_depth").set(backlog)
@@ -396,7 +309,7 @@ class ServeEngine:
             if candidate is not None:
                 self._retire_lane(candidate)
                 self.autoscaler.commit(now, "down", 1, backlog)
-        self.clock.schedule_call_in(
+        clock.schedule_call_in(
             self.config.autoscale.interval_s, self._autoscale_tick, None
         )
 
@@ -456,7 +369,7 @@ class ServeEngine:
             self.metrics.histogram("serve.retry_after_s").observe(retry_after_s)
 
     def _on_arrival(self, request: TaskRequest) -> None:
-        now = self.clock.now
+        now = self.loop.clock.now
         if self._admit(request, now) is not None:
             deadline = (
                 request.deadline_s
@@ -467,10 +380,8 @@ class ServeEngine:
                 self._next_id, request, deadline_abs=request.arrival_s + deadline
             )
             self._next_id += 1
-            self._live[task.id] = task
             self.slo.observe_admitted(request.tenant)
-            self.scheduler.task_ready(task, now)
-            self._kick_idle(now)
+            self.loop.release(task, now)
         self._pull_next_arrival()
 
     def _pull_next_arrival(self) -> None:
@@ -480,127 +391,54 @@ class ServeEngine:
         except StopIteration:
             self._stream_open = False
             return
-        self.clock.schedule_call(request.arrival_s, self._on_arrival, request)
+        self.loop.clock.schedule_call(request.arrival_s, self._on_arrival, request)
 
-    def _kick_idle(self, now: float) -> None:
-        for instance_id in self._lane_order:
-            if (
-                instance_id in self._active
-                and instance_id not in self._draining
-                and self._lane_of[instance_id].busy_until <= now + _EPS
-            ):
-                self.clock.schedule_call(now, self._worker_tick, instance_id)
-
-    # -- execution -----------------------------------------------------------
-    def _worker_tick(self, instance_id: str) -> None:
-        now = self.clock.now
-        worker = self._lane_of[instance_id]
-        if instance_id not in self._active or instance_id in self._draining:
-            return
-        if worker.busy_until > now + _EPS:
-            return
-        task = self.scheduler.next_task(worker, now)
-        if task is None:
-            return
-        self._start_task(task, worker, now)
-
-    def _start_task(self, task: ServeTask, worker: WorkerContext, now: float) -> None:
-        data_ready = now
-        if task.nbytes > 0.0 and worker.memory_node != 0:
-            est = self.transfer_model.schedule(
-                self.node_anchor[0], worker.entity_id, task.nbytes, now
-            )
-            data_ready = est.finish
-            record = TransferTrace(
-                handle_name=f"req-{task.id}",
-                nbytes=int(task.nbytes),
-                src_node=0,
-                dst_node=worker.memory_node,
-                start=est.start,
-                end=est.finish,
-            )
-            self.trace.record_transfer(record)
-            if self.config.online_tuning:
-                self._window_trace.record_transfer(record)
-        task.transfer_wait = max(0.0, data_ready - now)
-        start = data_ready + self.config.task_overhead_s
-        duration = self._estimate_exec(self.truth_perf, task, worker)
-        end = start + duration
-        task.worker_id = worker.instance_id
-        task.start_time = start
-        task.end_time = end
-        worker.busy_until = end
-        worker.is_idle = False
-        self.clock.schedule_call(end, self._complete_task, task)
-
-    def _complete_task(self, task: ServeTask) -> None:
-        now = self.clock.now
-        worker = self._lane_of[task.worker_id]
-        worker.is_idle = True
-        worker.busy_time += task.end_time - task.start_time
-        worker.tasks_executed += 1
-        record = TaskTrace(
-            task_id=task.id,
-            tag=task.tag,
-            kernel=task.kernel,
-            worker_id=worker.instance_id,
-            architecture=worker.architecture,
-            start=task.start_time,
-            end=task.end_time,
-            transfer_wait=task.transfer_wait,
+    # -- completion ----------------------------------------------------------
+    def _on_complete(self, task: ServeTask, record: TaskTrace) -> None:
+        now = record.end
+        self.slo.observe_completion(
+            task.tenant, now - task.arrival, met_deadline=now <= task.deadline + _EPS
         )
-        self.trace.record_task(record)
-        latency = now - task.arrival
-        met = now <= task.deadline + _EPS
-        self.slo.observe_completion(task.tenant, latency, met_deadline=met)
-        self.completed += 1
-        del self._live[task.id]
+        # the request's operand is never named again
+        self.loop.forget(task.accesses[0].handle)
         if self.config.online_tuning:
-            self._window_tasks.append(task)
-            self._window_trace.record_task(record)
-        if worker.instance_id in self._draining:
-            # graceful retirement completes: the in-flight task is done,
-            # the queue was requeued at drain time — the lane goes dark
-            self._draining.discard(worker.instance_id)
-        else:
-            self._worker_tick(worker.instance_id)
+            self._tasks.append(task)
+            self.trace.window.record_task(record)
 
     # -- online tuning -------------------------------------------------------
     def _harvest_tick(self, _arg=None) -> None:
         self._harvest_window()
         if not self._finished():
-            self.clock.schedule_call_in(
+            self.loop.clock.schedule_call_in(
                 self.config.harvest_interval_s, self._harvest_tick, None
             )
 
     def _harvest_window(self) -> None:
-        if not self._window_tasks:
+        if not self._tasks:
             return
         from repro.runtime.trace import RunResult
         from repro.tune.calibrate import harvest_run
 
+        window = self.trace.window
         result = RunResult(
-            makespan=self._window_trace.makespan,
+            makespan=window.makespan,
             mode="sim",
             scheduler=self.scheduler.name,
-            task_count=len(self._window_tasks),
-            trace=self._window_trace,
+            task_count=len(self._tasks),
+            trace=window,
         )
         self._harvested_samples += harvest_run(
             self, result, self.tuning_database, digest=self.digest, source="serve"
         )
         self._harvests += 1
-        self._window_tasks = []
-        self._tasks = self._window_tasks
-        self._window_trace = TraceLog()
+        self._tasks = []
+        self.trace.window = TraceLog()
         # refit: drop fitted curves and every memoized placement estimate
-        if hasattr(self.sched_perf, "invalidate"):
-            self.sched_perf.invalidate()
-        self.cost_model.invalidate()
+        self.runtime.invalidate_estimates()
 
     # -- the run -------------------------------------------------------------
     def _finished(self) -> bool:
-        return not self._stream_open and not self._live
+        return not self._stream_open and self.loop.done == self._next_id
 
     def run(self, arrivals: Iterable[TaskRequest]) -> ServingReport:
         """Serve the stream to completion; returns the serving report."""
@@ -632,12 +470,13 @@ class ServeEngine:
         self._pull_next_arrival()
         if not self._stream_open:
             raise ServeError("arrival stream is empty")
-        self.clock.schedule_call(0.0, self._autoscale_tick, None)
+        clock = self.loop.clock
+        clock.schedule_call(0.0, self._autoscale_tick, None)
         if self.config.online_tuning:
-            self.clock.schedule_call_in(
+            clock.schedule_call_in(
                 self.config.harvest_interval_s, self._harvest_tick, None
             )
-        self.clock.run()
+        self.loop.run()
         if self.config.online_tuning:
             self._harvest_window()  # fold the tail window
         return self._build_report()
@@ -656,6 +495,6 @@ class ServeEngine:
                 "harvests": self._harvests,
                 "samples": self._harvested_samples,
             },
-            requeues=self.requeues,
+            requeues=self.loop.stats["requeues"],
             trace=self.trace,
         )

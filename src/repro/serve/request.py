@@ -16,7 +16,12 @@ import zlib
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
+import numpy as np
+
 from repro.errors import ServeError
+from repro.runtime.coherence import AccessMode
+from repro.runtime.data import DataHandle
+from repro.runtime.tasks import RuntimeTask
 
 __all__ = ["TaskRequest", "TenantSpec", "ServeTask", "synthetic_arrivals"]
 
@@ -37,7 +42,8 @@ class TaskRequest:
     deadline_s: Optional[float] = None
     priority: int = 0
     tag: str = ""
-    #: operand bytes staged host → worker before execution (0 = none)
+    #: operand bytes staged host → worker before execution (0 = none;
+    #: whole bytes, a fraction is dropped)
     nbytes: float = 0.0
 
 
@@ -70,31 +76,18 @@ class TenantSpec:
             )
 
 
-class ServeTask:
-    """An admitted request bound into the serving loop.
+class ServeTask(RuntimeTask):
+    """An admitted request as a runtime task.
 
-    Shaped like a :class:`~repro.runtime.tasks.RuntimeTask` as far as the
-    schedulers' scalar paths care (``id``, ``kernel``, ``dims``,
-    ``priority``, ``tag``) but carries the serving-side state — tenant,
-    absolute deadline, arrival/start/end stamps — and no dependency
-    machinery: serving tasks are independent by construction.
+    It reads one private, host-resident handle of the request's operand
+    bytes, named ``req-<id>``, so the runtime stages and prices it like
+    any batch operand.  A request without operand bytes writes its
+    handle instead, which stages nothing.  On top of the task it carries
+    the serving-side state: tenant, arrival time and absolute deadline.
+    Serving tasks are independent by construction: no dependencies.
     """
 
-    __slots__ = (
-        "id",
-        "kernel",
-        "dims",
-        "priority",
-        "tag",
-        "tenant",
-        "nbytes",
-        "arrival",
-        "deadline",
-        "worker_id",
-        "start_time",
-        "end_time",
-        "transfer_wait",
-    )
+    __slots__ = ("tenant", "arrival", "deadline")
 
     def __init__(
         self,
@@ -103,19 +96,19 @@ class ServeTask:
         *,
         deadline_abs: float,
     ):
-        self.id = task_id
-        self.kernel = request.kernel
-        self.dims = tuple(request.dims)
-        self.priority = request.priority
-        self.tag = request.tag or f"{request.tenant}:{request.kernel}#{task_id}"
+        nbytes = int(request.nbytes)
+        operand = DataHandle(shape=(nbytes,), dtype=np.uint8, name=f"req-{task_id}")
+        super().__init__(
+            request.kernel,
+            [(operand, AccessMode.READ if nbytes > 0 else AccessMode.WRITE)],
+            dims=request.dims,
+            priority=request.priority,
+            tag=request.tag or f"{request.tenant}:{request.kernel}#{task_id}",
+            task_id=task_id,
+        )
         self.tenant = request.tenant
-        self.nbytes = float(request.nbytes)
         self.arrival = request.arrival_s
         self.deadline = deadline_abs
-        self.worker_id: Optional[str] = None
-        self.start_time: Optional[float] = None
-        self.end_time: Optional[float] = None
-        self.transfer_wait = 0.0
 
     def __repr__(self) -> str:
         return (

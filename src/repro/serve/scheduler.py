@@ -43,12 +43,19 @@ from repro.runtime.workers import WorkerContext
 
 __all__ = ["DeadlineScheduler", "make_serve_scheduler", "SERVE_SCHEDULER_NAMES"]
 
+_INF = float("inf")
+
 
 def _deadline_of(task) -> Optional[float]:
     deadline = getattr(task, "deadline", None)
     if deadline is None or deadline == float("inf"):
         return None
     return deadline
+
+
+def _edf_key(task) -> tuple[float, int]:
+    deadline = _deadline_of(task)
+    return (deadline if deadline is not None else _INF, task.id)
 
 
 class DeadlineScheduler(DequeModelScheduler):
@@ -64,29 +71,37 @@ class DeadlineScheduler(DequeModelScheduler):
         self.name = "dmda-slo"
 
     def task_ready(self, task, now: float) -> None:
-        # scalar scoring only: serving feeds tasks one arrival at a time,
-        # so there is no batch to vectorize over
+        if self._batch is not None:
+            # the memoized cost row: +inf where a lane is offline or has
+            # no implementation.  A plain loop over its floats beats
+            # numpy's per-call cost on fleets of a few lanes.
+            costs = self._batch.cost_row(task, self.data_aware).tolist()
+        else:
+            costs = [
+                self._task_cost(task, w) if self.cost.supports(task, w) else _INF
+                for w in self.workers
+            ]
+        deadline = _deadline_of(task)
+        weight = self.miss_weight
         best: Optional[WorkerContext] = None
-        best_score = float("inf")
+        best_score = _INF
         best_finish = 0.0
         best_cost = 0.0
-        deadline = _deadline_of(task)
-        for worker in self.workers:
-            if not self.cost.supports(task, worker):
+        for worker, cost in zip(self.workers, costs):
+            if cost == _INF:
                 continue
             begin = max(now, self._est_free[worker.instance_id])
-            cost = self._task_cost(task, worker)
             finish = begin + cost
-            if deadline is None or self.miss_weight == 0.0:
+            if deadline is None or weight == 0.0:
                 score = finish
             elif finish <= deadline:
                 # meets the SLO: consolidate onto the fastest-executing
                 # lane; slack (negative) breaks ties toward early finish
-                score = cost + (finish - deadline) / self.miss_weight
+                score = cost + (finish - deadline) / weight
             else:
                 # misses: least predicted lateness, always worse than any
                 # meeting lane (which scores at most cost <= finish)
-                score = finish + self.miss_weight * (finish - deadline)
+                score = finish + weight * (finish - deadline)
             if score < best_score:
                 best_score = score
                 best_finish = finish
@@ -105,13 +120,7 @@ class DeadlineScheduler(DequeModelScheduler):
         deterministic.  Tasks without a deadline sort last (+inf).
         """
         queue = self._queues[instance_id]
-        deadline = _deadline_of(task)
-        key = (deadline if deadline is not None else float("inf"), task.id)
-        keys = [
-            (_deadline_of(t) if _deadline_of(t) is not None else float("inf"), t.id)
-            for t in queue
-        ]
-        queue.insert(bisect.bisect_right(keys, key), task)
+        queue.insert(bisect.bisect_right(queue, _edf_key(task), key=_edf_key), task)
 
 
 SERVE_SCHEDULER_NAMES = ("dmda-slo", "dmda", "dm", "eager")

@@ -13,10 +13,12 @@ content moves the tag while the old version stays fetchable by digest.
 Hot paths
 ---------
 * parsed :class:`~repro.model.platform.Platform` objects are kept in a
-  digest-keyed LRU (shared with :mod:`repro.pdl.catalog`'s module cache,
-  so catalog loads and registry fetches never parse the same bytes
-  twice).  The LRU holds the object the parse produced, and internal
-  reads such as pre-selection use it in place without a copy; only
+  digest-keyed LRU, the store's only parse cache: publishes and LRU
+  misses parse with :func:`~repro.pdl.parser.parse_pdl` and never touch
+  :mod:`repro.pdl.catalog`'s module cache, whose keys (raw-text digest
+  plus name) the store would never ask for again.  The LRU holds the
+  object the parse produced, and internal reads such as pre-selection
+  use it in place without a copy; only
   :meth:`DescriptorStore.platform` (and the query, diff and lint verbs
   built on it) hands out copies;
 * pre-selection results are memoized under
@@ -39,10 +41,10 @@ from repro.model.platform import Platform
 from repro.pdl.catalog import (
     available_platforms,
     content_digest,
-    parse_cached,
     platform_path,
 )
 from repro.pdl.diff import diff_platforms
+from repro.pdl.parser import parse_pdl
 from repro.pdl.writer import write_pdl
 from repro.query.api import PlatformQuery
 from repro.cascabel.frontend import parse_program
@@ -114,7 +116,7 @@ class DescriptorStore:
         """
         if isinstance(xml_text, bytes):
             xml_text = xml_text.decode("utf-8")
-        platform = parse_cached(xml_text, name=name)
+        platform = parse_pdl(xml_text, name=name)
         if strict_lint:
             from repro.analysis.diagnostics import Severity
 
@@ -137,8 +139,7 @@ class DescriptorStore:
             previous = self._tags.get(name)
             moved = previous is not None and previous != digest
             self._tags[name] = digest
-        # warm the parse cache with the already-parsed document, which
-        # parse_cached handed over as our own copy
+        # warm the LRU with the already-parsed document
         if digest not in self._platforms:
             self._platforms.put(digest, platform)
         if moved:
@@ -162,7 +163,7 @@ class DescriptorStore:
         """
         if isinstance(xml_text, bytes):
             xml_text = xml_text.decode("utf-8")
-        platform = parse_cached(xml_text)
+        platform = parse_pdl(xml_text)
         if strict_lint:
             from repro.analysis.diagnostics import Severity
 
@@ -274,7 +275,7 @@ class DescriptorStore:
         hit = master is not None
         self.metrics.record_platform_cache(hit)
         if not hit:
-            master = parse_cached(self.xml(digest), digest=digest)
+            master = parse_pdl(self.xml(digest))
             self._platforms.put(digest, master)
         return master
 

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 
 from repro.errors import RuntimeEngineError
 from repro.runtime.data import DataHandle
-from repro.runtime.tasks import DependencyTracker, RuntimeTask, TaskState
+from repro.runtime.tasks import DependencyTracker, RuntimeTask
 
 
 def handles(n):
@@ -286,63 +286,11 @@ class TestTaskTable:
         t3 = self._task(shape=(32, 32))
         for t in (t1, t2, t3):
             table.add(t)
-        assert len(table) == 3
         assert t1.kind_id == t2.kind_id == t3.kind_id  # one kernel
         assert t1.cost_sig == t2.cost_sig  # same effective dims
         assert t3.cost_sig != t1.cost_sig
         assert table.signature_count() == 2
         assert table.sig_representative[t1.cost_sig] is t1
-
-    def test_add_assigns_sequential_indices(self):
-        from repro.runtime.tasks import TaskTable
-
-        table = TaskTable()
-        tasks = [self._task() for _ in range(5)]
-        for i, t in enumerate(tasks):
-            assert table.add(t) == i
-            assert t.table_index == i
-
-    def test_capacity_doubles_transparently(self):
-        from repro.runtime.tasks import TaskTable
-
-        table = TaskTable()
-        n = TaskTable._GROW + 10
-        for _ in range(n):
-            table.add(self._task())
-        assert len(table) == n
-        assert int(table.worker[n - 1]) == -1
-        import numpy as np
-
-        assert np.isnan(table.ready_time[n - 1])
-
-    def test_state_transitions_and_counts(self):
-        from repro.runtime.tasks import TaskTable
-
-        table = TaskTable()
-        tasks = [self._task() for _ in range(4)]
-        for t in tasks:
-            table.add(t)
-        counts = table.state_counts()
-        assert counts["blocked"] == 4
-        table.mark_ready(tasks[0].table_index, now=1.5)
-        table.set_state(tasks[1].table_index, TaskState.RUNNING)
-        table.set_state(tasks[2].table_index, TaskState.DONE)
-        counts = table.state_counts()
-        assert counts["ready"] == 1
-        assert counts["running"] == 1
-        assert counts["done"] == 1
-        assert counts["blocked"] == 1
-        assert table.ready_time[tasks[0].table_index] == 1.5
-
-    def test_assign_records_worker(self):
-        from repro.runtime.tasks import TaskTable
-
-        table = TaskTable()
-        t = self._task()
-        table.add(t)
-        assert int(table.worker[t.table_index]) == -1
-        table.assign(t.table_index, 7)
-        assert int(table.worker[t.table_index]) == 7
 
     def test_explicit_task_id_minting(self):
         """Engine-local ids: two engines submitting the same DAG mint

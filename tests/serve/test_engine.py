@@ -53,6 +53,27 @@ class TestBasicServing:
         with pytest.raises(ServeError, match="empty"):
             ServeEngine(platform).run([])
 
+    def test_completed_requests_leave_no_runtime_state(self, platform):
+        # every request is a runtime task with a private operand handle;
+        # completion drops the handle's coherence, residency and gather
+        # entries, so a long stream does not grow the runtime's state
+        from repro.serve.request import TaskRequest
+
+        arrivals = _stream(rate_per_s=800.0, size=256) + [
+            TaskRequest(arrival_s=0.6, tenant="t0", kernel="dgemm",
+                        dims=(64, 64, 64)),  # no operand bytes: writes only
+        ]
+        engine = ServeEngine(platform)
+        report = engine.run(arrivals)
+        assert report.totals["completed"] == report.totals["admitted"] == len(arrivals)
+        assert report.trace.transfers  # operands were staged
+        coherence = engine.runtime.coherence
+        assert coherence._valid == {}
+        assert coherence._need_cache == {}
+        assert coherence._epoch == {}
+        assert engine.runtime._vec_cost._handle_residency == {}
+        assert engine.loop.written == {}
+
     def test_duration_is_simulated_not_wall(self, platform):
         report = ServeEngine(platform).run(_stream(duration=0.3))
         # makespan tracks the stream horizon, not host wall time
@@ -180,12 +201,12 @@ class TestAutoscaling:
         def sabotage(_arg=None):
             # retire the busiest non-core active lane mid-run
             for iid in reversed(engine._lane_order):
-                if iid in engine._active and iid not in engine._core:
+                if iid not in engine.loop.offline and iid not in engine._core:
                     victims.append(iid)
                     engine._retire_lane(iid)
                     return
 
-        engine.clock.schedule_call(0.05, sabotage, None)
+        engine.loop.clock.schedule_call(0.05, sabotage, None)
         report = engine.run(arrivals)
         assert victims
         assert report.totals["completed"] == report.totals["admitted"]
@@ -193,8 +214,9 @@ class TestAutoscaling:
         sched = engine.scheduler
         lane = victims[0]
         assert sched._est_free[lane] == pytest.approx(sched._committed[lane])
-        assert lane not in engine._active
-        assert lane not in engine._draining  # finalized by run end
+        assert lane in engine.loop.offline  # not active
+        # not draining: its in-flight task finished by run end
+        assert engine._lane_of[lane].busy_until <= engine.loop.clock.now
 
 
 class TestOnlineTuning:

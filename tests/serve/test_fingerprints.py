@@ -1,0 +1,67 @@
+"""Pinned serving outputs: the report fingerprints of fixed streams.
+
+The four ``BENCH_serve.json`` configurations (1.5 s two-tenant stream,
+seed 0) and the pdlbench ``serve_slo`` configuration (6 s stream,
+seed 1) on the dual-GPU Xeon descriptor.  A change to the serving loop,
+its cost model, staging or admission that moves any simulated time,
+placement, trace record or counter moves one of these digests.
+"""
+
+import pytest
+
+from repro.pdl.catalog import load_platform
+from repro.serve import (
+    AutoscalePolicy,
+    ServeConfig,
+    ServeEngine,
+    TenantSpec,
+    synthetic_arrivals,
+)
+
+TENANTS = [
+    TenantSpec(name="interactive", rate_per_s=400.0, size=256, deadline_s=0.01),
+    TenantSpec(name="batch", rate_per_s=400.0, size=256, burst_factor=2.5),
+]
+
+BENCH_SERVE = {
+    ("dmda", False): "fbe66e3ed5366b63046351f7146bc099c61ea0c86f58630df281f1c15b90bce2",
+    ("dmda-slo", False): "8cdc3411d7388ccb290bc96ae33f0e57d2ddc2236c26e34bddf1cd10140c5c1f",
+    ("dmda", True): "3b12c67a98a545a8983d6f6733e86ab4a1cb1ae0cbac00cc18e812fc6e4ea214",
+    ("dmda-slo", True): "2665c5753559d5e09e9b7dcd3223226012f6ca190543f61e4394f9019449e0f3",
+}
+
+SERVE_SLO_SEED1 = "d83df325658f30767f36a62106b9eb50d7ac8094b068045fd1f749b8987206cc"
+
+
+def _config(scheduler, autoscale):
+    return ServeConfig(
+        scheduler=scheduler,
+        default_deadline_s=0.03,
+        max_queue=512,
+        autoscale=AutoscalePolicy(enabled=autoscale, min_workers=2),
+    )
+
+
+@pytest.fixture(scope="module")
+def platform():
+    return load_platform("xeon_x5550_2gpu")
+
+
+@pytest.mark.parametrize(
+    "scheduler,autoscale", sorted(BENCH_SERVE), ids=lambda v: str(v)
+)
+def test_bench_serve_configurations_are_pinned(platform, scheduler, autoscale):
+    arrivals = synthetic_arrivals(TENANTS, duration_s=1.5, seed=0)
+    assert len(arrivals) == 1557
+    report = ServeEngine(platform, config=_config(scheduler, autoscale)).run(
+        arrivals
+    )
+    assert report.fingerprint() == BENCH_SERVE[(scheduler, autoscale)]
+
+
+def test_serve_slo_seed1_is_pinned(platform):
+    arrivals = synthetic_arrivals(TENANTS, duration_s=6.0, seed=1)
+    assert len(arrivals) == 6626
+    report = ServeEngine(platform, config=_config("dmda-slo", True)).run(arrivals)
+    assert report.totals["completed"] == report.totals["admitted"]
+    assert report.fingerprint() == SERVE_SLO_SEED1

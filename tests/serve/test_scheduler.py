@@ -1,6 +1,9 @@
 """DeadlineScheduler unit tests: scoring, EDF lanes, drain rewind."""
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import SchedulerError
 from repro.runtime.workers import WorkerContext
@@ -112,6 +115,64 @@ class TestScoring:
     def test_negative_miss_weight_rejected(self):
         with pytest.raises(SchedulerError):
             DeadlineScheduler(miss_weight=-1.0)
+
+
+class _Rows:
+    """Batch stub over a scalar cost model: one row per task, +inf on
+    lanes without an implementation (what the runtime's cost rows give)."""
+
+    def __init__(self, cost, workers):
+        self.cost = cost
+        self.workers = workers
+
+    def cost_row(self, task, data_aware):
+        return np.array(
+            [
+                self.cost.exec_estimate(task, w) + self.cost.transfer_estimate(task, w)
+                if self.cost.supports(task, w)
+                else np.inf
+                for w in self.workers
+            ]
+        )
+
+
+_lane_costs = st.lists(
+    st.one_of(st.none(), st.floats(0.001, 4.0)), min_size=1, max_size=6
+).filter(lambda costs: any(c is not None for c in costs))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    costs=_lane_costs,
+    arrivals=st.lists(
+        st.tuples(st.floats(0.0, 2.0), st.one_of(st.none(), st.floats(0.0, 8.0))),
+        min_size=1,
+        max_size=12,
+    ),
+    miss_weight=st.sampled_from([0.0, 0.5, 4.0]),
+)
+def test_row_scoring_places_like_scalar_scoring(costs, arrivals, miss_weight):
+    """Scoring from a cost row and from the scalar cost model place every
+    task on the same lane, with the same charges and est-free clocks."""
+    lane_costs = {f"w{i}": c for i, c in enumerate(costs) if c is not None}
+    names = [f"w{i}" for i in range(len(costs))]
+    scalar = DeadlineScheduler(miss_weight=miss_weight)
+    scalar.attach([_worker(n) for n in names], _Cost(lane_costs))
+    rows = DeadlineScheduler(miss_weight=miss_weight)
+    row_workers = [_worker(n) for n in names]
+    rows.attach(row_workers, _Cost(lane_costs))
+    assert rows.enable_batch(_Rows(_Cost(lane_costs), row_workers))
+    now = 0.0
+    for step, deadline in arrivals:
+        now += step
+        task = _Task(deadline=None if deadline is None else now + deadline)
+        scalar.task_ready(task, now)
+        rows.task_ready(task, now)
+    assert {n: list(q) for n, q in rows._queues.items()} == {
+        n: list(q) for n, q in scalar._queues.items()
+    }
+    assert rows._charge == scalar._charge
+    assert rows._est_free == scalar._est_free
 
 
 class TestEDFQueues:

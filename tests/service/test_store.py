@@ -101,6 +101,21 @@ class TestPlatformCache:
         assert after["hits"] >= before["hits"] + 1
         assert p1.total_pu_count() == p2.total_pu_count() == 11
 
+    def test_store_parses_bypass_the_module_parse_cache(self):
+        # the store's LRU is its only parse cache: publishes, blob puts
+        # and LRU-miss fetches leave the catalog's module cache alone
+        from repro.pdl.catalog import parse_cache_info
+
+        box, cell = xml_of("xeon_x5550_2gpu"), xml_of("cell_qs22")
+        before = parse_cache_info()
+        store = DescriptorStore(platform_cache_size=1)
+        store.publish("box", box)
+        store.put_blob(cell)  # evicts "box"
+        fetched = store.platform("box")  # LRU miss: parses again
+        assert fetched.total_pu_count() == 11
+        assert store.metrics.snapshot()["platform_cache"]["misses"] >= 1
+        assert parse_cache_info() == before
+
     def test_cached_copies_are_independent(self, seeded_store):
         p1 = seeded_store.platform("cell_qs22")
         p1.name = "mutated"
