@@ -2,10 +2,12 @@
 
 The observability acceptance bar: instrumenting the toolchain must cost
 (near) nothing when disabled.  The benchmark runs the same tiled-DGEMM
-simulation with no tracer, then with a live tracer bridging the full
-``TraceLog`` into spans, and reports wall time per run plus the derived
-overhead ratios.  Results land in ``BENCH_obs.json`` (override the path
-via the ``BENCH_OBS_JSON`` environment variable).
+simulation with no tracer, then with a live tracer that records the run
+span and defers the ``TraceLog``'s sim-clock spans until something reads
+them (here ``finished()``, after the timed run), and reports wall time
+per run plus the derived overhead ratios.  Results land in
+``BENCH_obs.json`` (override the path via the ``BENCH_OBS_JSON``
+environment variable).
 
 The *disabled* overhead target is < 5% (the ISSUE's hard bar); the
 median-of-runs comparison keeps scheduler jitter from dominating a

@@ -11,10 +11,11 @@ A single :class:`repro.Session` carries the tracer through every layer:
    codegen) under one ``cascabel.translate`` span,
 3. run                — the simulated tiled DGEMM; the runtime bridges
    its simulated-time ``TraceLog`` into sim-clock spans next to the
-   wall-clock toolchain spans,
-4. export             — text tree to stdout, Chrome trace-event JSON to
-   ``figure5_trace.json`` (open it at https://ui.perfetto.dev or in
-   ``chrome://tracing``).
+   wall-clock toolchain spans (built when first read),
+4. export             — Chrome trace-event JSON to ``figure5_trace.json``
+   (open it at https://ui.perfetto.dev or in ``chrome://tracing``),
+   checked to hold one sim event per task, transfer and fault, then the
+   text tree to stdout.
 
 Run:  python examples/tracing_tour.py
 """
@@ -63,17 +64,26 @@ def main():
           f" over {run.task_count} tasks\n")
 
     # ---- 4. export --------------------------------------------------------
-    print("== span tree ==")
-    print(session.render_trace(attributes=False))
-
+    # the Chrome trace is the first read of the tracer, so it alone must
+    # build the run's deferred sim spans
     session.write_chrome_trace(TRACE_PATH)
     with open(TRACE_PATH, "r", encoding="utf-8") as handle:
         events = json.load(handle)["traceEvents"]
+
+    print("== span tree ==")
+    print(session.render_trace(attributes=False))
 
     spans = [sp for sp in session.tracer.finished()]
     client_span = next(s for s in spans if s.name == "registry.client.request")
     server_span = next(s for s in spans if s.name == "registry.server.request")
     assert client_span.trace_id == server_span.trace_id
+
+    # one sim-clock event per task, transfer and fault the run recorded
+    sim_events = sum(1 for e in events if e.get("cat") == "sim")
+    expected = run.task_count + run.transfer_count + len(run.trace.faults)
+    assert sim_events == expected, (
+        f"{TRACE_PATH} holds {sim_events} sim events, the run recorded {expected}"
+    )
 
     print(f"\nwrote {TRACE_PATH}: {len(events)} trace events"
           f" (open in chrome://tracing or https://ui.perfetto.dev)")

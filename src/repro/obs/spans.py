@@ -30,7 +30,7 @@ import threading
 import time
 import uuid
 from dataclasses import dataclass, field
-from typing import Any, Iterator, Optional
+from typing import Any, Callable, Iterator, Optional
 
 from repro.obs.digest import fingerprint_payload
 from repro.obs.metrics import MetricsRegistry
@@ -143,6 +143,18 @@ class _NullSpan:
 
 NULL_SPAN = _NullSpan()
 
+
+class _DeferredSpans:
+    """A placeholder for finished spans with ids ``first_id`` onwards,
+    which ``build(first_id)`` makes when the tracer is read."""
+
+    __slots__ = ("first_id", "build")
+
+    def __init__(self, first_id: int, build: Callable[[int], list]):
+        self.first_id = first_id
+        self.build = build
+
+
 _CURRENT_SPAN: contextvars.ContextVar[Optional[Span]] = contextvars.ContextVar(
     "repro_obs_current_span", default=None
 )
@@ -154,6 +166,13 @@ class Tracer:
     ``trace_id`` fixes the id new root spans inherit (useful for
     deterministic payloads and tests); by default each root span starts
     a fresh 16-hex-digit trace id.
+
+    A block of spans can be *deferred* (:meth:`defer_spans`): its ids and
+    its place in completion order are fixed when it is recorded, but its
+    :class:`Span` objects are built on the first read of the tracer —
+    :meth:`finished`, :attr:`spans`, :meth:`roots`, :meth:`children_of`,
+    iteration, or a payload.  ``len()`` counts deferred spans without
+    building them.
     """
 
     def __init__(self, *, trace_id: Optional[str] = None):
@@ -161,7 +180,11 @@ class Tracer:
         self._epoch = time.perf_counter()
         self._next_id = 1
         self._default_trace_id = trace_id
-        self.spans: list[Span] = []
+        #: finished spans and unbuilt :class:`_DeferredSpans`, in completion order
+        self._spans: list = []
+        self._deferred_blocks = 0
+        #: spans the unbuilt blocks stand for beyond their own list slots
+        self._deferred_extra = 0
         self.metrics = MetricsRegistry()
 
     # -- time ---------------------------------------------------------------
@@ -181,6 +204,18 @@ class Tracer:
             return self._default_trace_id
         return uuid.uuid4().hex[:16]
 
+    def _resolve_parent(
+        self, parent: Optional[Span] = None, trace_id: Optional[str] = None
+    ) -> tuple[Optional[Span], str]:
+        """The parent a new span links to (``parent``, else the current
+        span) and the trace it joins (``trace_id``, else the parent's,
+        else a new root trace)."""
+        if parent is None:
+            parent = _CURRENT_SPAN.get()
+        if trace_id is None:
+            trace_id = parent.trace_id if parent is not None else self._new_trace_id()
+        return parent, trace_id
+
     def start_span(
         self,
         name: str,
@@ -194,10 +229,7 @@ class Tracer:
         Used by the bridge and by code that must end the span from a
         different stack frame; most callers want :meth:`span`.
         """
-        if parent is None:
-            parent = _CURRENT_SPAN.get()
-        if trace_id is None:
-            trace_id = parent.trace_id if parent is not None else self._new_trace_id()
+        parent, trace_id = self._resolve_parent(parent, trace_id)
         return Span(
             name=name,
             span_id=self._allocate_id(),
@@ -212,7 +244,7 @@ class Tracer:
         if span_.end is None:
             span_.end = self.now()
         with self._lock:
-            self.spans.append(span_)
+            self._spans.append(span_)
 
     def end_span(self, span_: Span) -> None:
         """Finish a span started with :meth:`start_span`."""
@@ -245,11 +277,8 @@ class Tracer:
         status: str = "ok",
         **attributes: Any,
     ) -> Span:
-        """Append an already-timed span (TraceLog replay, external data)."""
-        if parent is None:
-            parent = _CURRENT_SPAN.get()
-        if trace_id is None:
-            trace_id = parent.trace_id if parent is not None else self._new_trace_id()
+        """Append an already-timed span (external data)."""
+        parent, trace_id = self._resolve_parent(parent, trace_id)
         span_ = Span(
             name=name,
             span_id=self._allocate_id(),
@@ -263,34 +292,71 @@ class Tracer:
             status=status,
         )
         with self._lock:
-            self.spans.append(span_)
+            self._spans.append(span_)
         return span_
 
+    def defer_spans(self, count: int, build: Callable[[int], list]) -> None:
+        """Record ``count`` finished spans that ``build(first_id)`` makes
+        on the first read, with ids ``first_id .. first_id + count - 1``.
+
+        The ids are reserved and the block takes its place in completion
+        order now, so spans recorded later keep the ids and order they
+        would have had if the block had been built here.  ``build`` must
+        return exactly ``count`` spans and must not call the tracer.
+        """
+        with self._lock:
+            first_id = self._next_id
+            self._next_id += count
+            self._spans.append(_DeferredSpans(first_id, build))
+            self._deferred_blocks += 1
+            self._deferred_extra += count - 1
+
+    def _built(self) -> list[Span]:
+        """The span list with every deferred block built (lock held)."""
+        if self._deferred_blocks:
+            spans: list[Span] = []
+            for item in self._spans:
+                if type(item) is _DeferredSpans:
+                    spans.extend(item.build(item.first_id))
+                else:
+                    spans.append(item)
+            self._spans[:] = spans
+            self._deferred_blocks = self._deferred_extra = 0
+        return self._spans
+
     # -- introspection ------------------------------------------------------
+    @property
+    def spans(self) -> list[Span]:
+        """The finished spans in completion order (the live list)."""
+        with self._lock:
+            return self._built()
+
     def current_span(self) -> Optional[Span]:
         return _CURRENT_SPAN.get()
 
     def finished(self) -> list[Span]:
         """Snapshot of finished spans in completion order."""
         with self._lock:
-            return list(self.spans)
+            return list(self._built())
 
     def roots(self) -> list[Span]:
         with self._lock:
-            return [s for s in self.spans if s.parent_id is None]
+            return [s for s in self._built() if s.parent_id is None]
 
     def children_of(self, span_: Span) -> list[Span]:
         with self._lock:
-            kids = [s for s in self.spans if s.parent_id == span_.span_id]
+            kids = [s for s in self._built() if s.parent_id == span_.span_id]
         return sorted(kids, key=lambda s: (s.start, s.span_id))
 
     def clear(self) -> None:
+        """Drop every finished span, deferred blocks included."""
         with self._lock:
-            self.spans.clear()
+            self._spans.clear()
+            self._deferred_blocks = self._deferred_extra = 0
 
     def __len__(self) -> int:
         with self._lock:
-            return len(self.spans)
+            return len(self._spans) + self._deferred_extra
 
     def __iter__(self) -> Iterator[Span]:
         return iter(self.finished())

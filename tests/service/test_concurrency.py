@@ -137,20 +137,27 @@ class TestStoreConcurrency:
 class _SlowStore(DescriptorStore):
     """Store whose preselect blocks until released (overload fixture)."""
 
-    def __init__(self, delay_s: float):
+    def __init__(self):
         super().__init__()
-        self.delay_s = delay_s
+        self.released = threading.Event()
 
     def preselect(self, ref, program_source, **kwargs):
-        time.sleep(self.delay_s)
+        self.released.wait(timeout=30)
         return super().preselect(ref, program_source, **kwargs)
+
+
+def _wait_until(condition, timeout_s=10.0):
+    deadline = time.monotonic() + timeout_s
+    while not condition():
+        assert time.monotonic() < deadline, "condition not reached in time"
+        time.sleep(0.001)
 
 
 class TestServerOverload:
     def test_429_when_queue_full(self, program_source):
         """With a queue bound of 1 and slow handlers, concurrent clients
         must see 429 + Retry-After instead of hangs or drops."""
-        store = _SlowStore(delay_s=0.4)
+        store = _SlowStore()
         store.seed_catalog()
         config = ServiceConfig(max_queue=1, executor_threads=2)
         with ServerThread(store, config=config, seed_catalog=False) as url:
@@ -169,8 +176,12 @@ class TestServerOverload:
             threads = [threading.Thread(target=fire) for _ in range(6)]
             for t in threads:
                 t.start()
+            # the admitted request holds the one slot until released
+            _wait_until(lambda: len(outcomes) == 5)
+            store.released.set()
             for t in threads:
                 t.join(timeout=30)
+            assert not any(t.is_alive() for t in threads)
 
             statuses = [kind for kind, _ in outcomes]
             assert len(outcomes) == 6
@@ -190,11 +201,19 @@ class TestServerOverload:
 
     def test_client_retry_eventually_succeeds(self, program_source):
         """The default client retries 429s with backoff and completes once
-        capacity frees up."""
-        store = _SlowStore(delay_s=0.15)
+        capacity frees up.
+
+        The store holds the admitted request until the server has turned
+        another one away; from then on every request is served at once, so
+        the queue drains well inside the default retry budget (three
+        retries, 0.35 s of backoff) whatever the host's speed.
+        """
+        store = _SlowStore()
         store.seed_catalog()
         config = ServiceConfig(max_queue=1, executor_threads=1)
-        with ServerThread(store, config=config, seed_catalog=False) as url:
+        server = ServerThread(store, config=config, seed_catalog=False)
+        with server as url:
+            metrics = server.server.metrics
             results = []
 
             def fire():
@@ -206,8 +225,12 @@ class TestServerOverload:
             threads = [threading.Thread(target=fire) for _ in range(3)]
             for t in threads:
                 t.start()
+            _wait_until(lambda: metrics.overloads_total >= 1)
+            store.released.set()
             for t in threads:
                 t.join(timeout=30)
+            assert not any(t.is_alive() for t in threads)
+            assert metrics.overloads_total >= 1  # a 429 was retried
             assert len(results) == 3
             platforms = {r["report"]["platform"] for r in results}
             assert platforms == {"xeon-x5550-2gpu"}  # descriptor's own name
