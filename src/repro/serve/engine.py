@@ -103,6 +103,24 @@ class ServeConfig:
                 f"harvest_interval_s must be positive,"
                 f" got {self.harvest_interval_s!r}"
             )
+        if self.tenant_rate_per_s is not None and self.tenant_rate_per_s <= 0.0:
+            raise ServeError(
+                f"tenant_rate_per_s must be positive or None,"
+                f" got {self.tenant_rate_per_s!r}"
+            )
+        if self.tenant_burst <= 0.0:
+            raise ServeError(
+                f"tenant_burst must be positive, got {self.tenant_burst!r}"
+            )
+        if self.latency_window < 1:
+            raise ServeError(
+                f"latency_window must be >= 1, got {self.latency_window!r}"
+            )
+        if self.trace_max_events is not None and self.trace_max_events < 1:
+            raise ServeError(
+                f"trace_max_events must be >= 1 or None,"
+                f" got {self.trace_max_events!r}"
+            )
 
     def to_payload(self) -> dict:
         return {

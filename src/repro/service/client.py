@@ -26,7 +26,6 @@ from __future__ import annotations
 from typing import Optional, Union
 
 from repro.model.platform import Platform
-from repro.runtime.faults import FaultPolicy
 from repro.service.async_client import (
     LOOP_RUNNER,
     AsyncRegistryClient,
@@ -42,23 +41,6 @@ class RegistryClient:
     def __init__(self, endpoint: Union[str, RegistryEndpoint] = "127.0.0.1:8787"):
         self.endpoint = RegistryEndpoint.parse(endpoint)
         self._async = AsyncRegistryClient(self.endpoint)
-
-    # endpoint attributes kept as properties for source compatibility
-    @property
-    def host(self) -> str:
-        return self.endpoint.host
-
-    @property
-    def port(self) -> int:
-        return self.endpoint.port
-
-    @property
-    def timeout(self) -> float:
-        return self.endpoint.timeout
-
-    @property
-    def retry_policy(self) -> Optional[FaultPolicy]:
-        return self.endpoint.retry_policy
 
     # -- low-level ----------------------------------------------------------
     def _call(self, coro):

@@ -135,8 +135,14 @@ def test_shipped_catalog_interference_clean(linter, name):
 def test_mesh_platforms_interference_clean(linter):
     from repro.experiments.scenarios import synthetic_mesh_platform
 
-    report = linter.lint_interference(synthetic_mesh_platform(4, 4))
-    assert rule_ids(report) == []
+    for rows, cols, distributed in (
+        (4, 4, False), (4, 4, True), (8, 8, True), (16, 16, True),
+    ):
+        platform = synthetic_mesh_platform(
+            rows, cols, distributed_memory=distributed
+        )
+        report = linter.lint_interference(platform)
+        assert rule_ids(report) == [], (rows, cols, report.summary())
 
 
 def test_synthesized_platforms_interference_clean(linter):

@@ -87,6 +87,18 @@ def test_shipped_catalog_lints_clean(linter, name):
     assert rule_ids(report) == [], report.summary()
 
 
+@pytest.mark.parametrize("rows,cols", [(4, 4), (8, 8), (16, 16)])
+def test_serialized_mesh_descriptors_lint_ok(linter, parse, rows, cols):
+    """The XTRA-SCALE mesh family with per-tile memories, written to XML
+    and parsed back (up to 257 PUs), passes the lint gate."""
+    from repro.experiments.scenarios import synthetic_mesh_platform
+    from repro.pdl.writer import write_pdl
+
+    platform = synthetic_mesh_platform(rows, cols, distributed_memory=True)
+    report = linter.lint_platform(parse(write_pdl(platform)))
+    assert report.ok, report.summary()
+
+
 def test_reports_are_reproducible(linter, parse):
     one = linter.lint_platform(parse(LINK_DEFECTS_XML)).to_payload()
     two = linter.lint_platform(parse(LINK_DEFECTS_XML)).to_payload()

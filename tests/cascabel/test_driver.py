@@ -84,3 +84,18 @@ class TestRetargeting:
         assert by_platform["cell-qs22"].compilers == "ppu-gcc"
         assert by_platform["xeon-x5550-dual"].variants == "dgemm_goto01"
         assert "idgemm_cublas" in by_platform["xeon-x5550-2gpu"].variants
+        # the outputs differ across targets, and every translation keeps
+        # the sequential fallback
+        assert len({r.variants for r in rows}) >= 3
+        assert len({r.compilers for r in rows}) >= 2
+        for result in results:
+            for interface in result.selection.selected:
+                assert result.selection.fallback(interface) is not None
+
+    def test_retarget_vecadd_picks_per_target_variants(self):
+        from repro.experiments.retarget import retarget_experiment
+
+        rows, _ = retarget_experiment(sample="vecadd")
+        by_platform = {r.platform: r for r in rows}
+        assert "ivecadd_spe" in by_platform["cell-qs22"].variants
+        assert "ivecadd_cuda" in by_platform["xeon-x5550-2gpu"].variants

@@ -4,13 +4,16 @@ import pytest
 
 from repro.errors import SelectionError
 from repro.model.builder import PlatformBuilder
+from repro.cascabel.cli import sample_source
 from repro.cascabel.frontend import parse_program
+from repro.cascabel.mapping import map_tasks
 from repro.cascabel.repository import TaskRepository
 from repro.cascabel.selection import (
     eligible_variants,
     preselect,
     target_available,
 )
+from repro.pdl.catalog import load_platform
 
 PROGRAM = """\
 #pragma cascabel task : x86 : Idgemm : dgemm_cpu : (C: readwrite, A: read, B: read)
@@ -213,3 +216,76 @@ class TestDeterminism:
         assert gpu.fingerprint() == preselect(
             repo, program, gpgpu_platform
         ).fingerprint()
+
+
+TARGET_CHOICES = (
+    ("x86",), ("cuda",), ("opencl",), ("cellsdk",),
+    ("cuda", "opencl"), ("cellsdk", "spe"),
+)
+
+
+def vendor_repository(program, n_variants):
+    """XTRA-SELECT: ``n_variants`` synthetic expert variants on top of the
+    program's own, a quarter of which require a platform pattern (a GTX
+    285 worker, or eight SPEs) that only some targets satisfy."""
+    repo = TaskRepository()
+    repo.register_program(program)
+    interface = program.interfaces()[0]
+    gtx285_pattern = (
+        PlatformBuilder("pat").master("m")
+        .worker("w", properties={"MODEL": "GeForce GTX 285"})
+        .build(validate=False)
+    )
+    spe_pattern = (
+        PlatformBuilder("pat").master("m")
+        .worker("w", architecture="spe", quantity=8)
+        .build(validate=False)
+    )
+    for i in range(n_variants):
+        pattern = None
+        if i % 4 == 0:
+            pattern = gtx285_pattern if i % 8 == 0 else spe_pattern
+        repo.register_expert_variant(
+            interface,
+            f"tuned_{i:04d}",
+            TARGET_CHOICES[i % len(TARGET_CHOICES)],
+            required_pattern=pattern,
+            provenance=f"vendor kit {i % 7}",
+        )
+    return repo
+
+
+class TestVendorScaleRepository:
+    @pytest.fixture(scope="class")
+    def program(self):
+        return parse_program(sample_source("dgemm_serial"))
+
+    def test_1001_variants_on_the_gpu_box(self, program):
+        report = preselect(
+            vendor_repository(program, 1000), program,
+            load_platform("xeon_x5550_2gpu"),
+        )
+        kept = len(report.variants_for(program.interfaces()[0]))
+        pruned = len(report.pruned)
+        assert kept + pruned == 1001
+        assert pruned >= 300  # every cell-targeted + gtx285-pattern variant
+
+    def test_pruning_is_platform_specific(self, program):
+        repo = vendor_repository(program, 1000)
+        pruned = {
+            name: len(preselect(repo, program, load_platform(name)).pruned)
+            for name in ("xeon_x5550_dual", "xeon_x5550_2gpu", "cell_qs22")
+        }
+        assert len(set(pruned.values())) == 3
+        # the Cell box prunes every cuda/opencl-only variant
+        assert pruned["cell_qs22"] > pruned["xeon_x5550_2gpu"]
+
+    def test_pruning_halves_the_mapping_input(self, program):
+        platform = load_platform("xeon_x5550_dual")
+        repo = vendor_repository(program, 400)
+        raw = repo.variants(program.interfaces()[0])
+        eligible, _ = eligible_variants(raw, platform)
+        assert len(eligible) < len(raw) / 2
+        # the CPU-only box maps everything onto its one worker entity
+        mapping = map_tasks(program, preselect(repo, program, platform), platform)
+        assert mapping.mappings[0].total_lanes == 8

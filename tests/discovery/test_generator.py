@@ -94,8 +94,16 @@ class TestFullPipeline:
         assert platform.architectures() == {"x86_64", "gpu"}
         report = validate_document(platform)
         assert report.ok
-        # a generated descriptor round-trips through the language
-        reparsed = parse_pdl(write_pdl(platform))
+        # the Listing-2 property block on gpu0
+        names = {p.name for p in platform.pu("gpu0").descriptor
+                 if p.namespace == "ocl"}
+        assert {"DEVICE_NAME", "MAX_COMPUTE_UNITS", "GLOBAL_MEM_SIZE",
+                "LOCAL_MEM_SIZE"} <= names
+        # a generated descriptor round-trips through the language, with
+        # Listing-2 style units
+        text = write_pdl(platform)
+        assert 'unit="kB"' in text
+        reparsed = parse_pdl(text)
         assert reparsed.total_pu_count() == 11
 
     def test_generated_matches_shipped_shape(self):

@@ -20,6 +20,8 @@ class TestEnumeration:
             "GeForce GTX 480",
             "GeForce GTX 285",
         ]
+        # two GPUs and the host CPU, each answering a full info query
+        assert len([d.get_info() for d in rt.all_devices()]) == 3
 
     def test_cpu_under_amd_platform(self):
         rt = SimulatedOpenCLRuntime.for_machine(cpu="Intel Xeon X5550")

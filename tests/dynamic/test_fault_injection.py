@@ -266,8 +266,14 @@ class TestPrefetchAccounting:
 
 
 class TestAcceptance:
-    """ISSUE scenario: DGEMM tile run on the Figure-5 GPU platform with
-    one GPU lane killed mid-run, in both execution modes."""
+    """DGEMM tile run on the Figure-5 GPU platform with one GPU lane
+    killed mid-run, in both execution modes, and faults at the paper
+    size."""
+
+    @pytest.fixture(scope="class")
+    def paper_baseline(self):
+        """Makespan of the fault-free 8192/1024 dmda run."""
+        return run_dgemm_with([], n=8192, bs=1024)[1].makespan
 
     def test_sim_gpu_killed_midrun(self):
         engine, result = run_dgemm_with([(0.1, WorkerFault("gpu0"))])
@@ -275,6 +281,30 @@ class TestAcceptance:
         assert result.worker_failures == 1
         assert result.requeue_count >= 1
         assert "faults:" in result.summary()
+
+    def test_paper_size_gpu_death_degrades_boundedly(self, paper_baseline):
+        """gpu0 dies at t = 1 s of the 8192/1024 run: every task still
+        completes exactly once and the survivors absorb the work."""
+        engine, hit = run_dgemm_with(
+            [(1.0, WorkerFault("gpu0", reason="ecc"))], n=8192, bs=1024
+        )
+        assert all(t.state is TaskState.DONE for t in engine._tasks)
+        assert len(hit.trace.tasks) == 512  # nothing lost, nothing doubled
+        assert hit.worker_failures == 1
+        assert hit.requeue_count >= 1
+        assert paper_baseline < hit.makespan < paper_baseline * 2.5
+
+    def test_paper_size_transient_faults_retried(self, paper_baseline):
+        """Four transient task faults on the 8192/1024 run, retried."""
+        _, faulted = run_dgemm_with(
+            [(0.01 * (i + 1), TaskFault(task_tag=f"dgemm[{i},{i},0]"))
+             for i in range(4)],
+            n=8192, bs=1024,
+            fault_policy=FaultPolicy(max_retries=2, backoff_base_s=0.001),
+        )
+        assert faulted.retry_count == faulted.task_failures
+        assert len(faulted.trace.tasks) == 512
+        assert faulted.makespan < paper_baseline * 1.5
 
     def test_real_gpu_killed_midrun(self, gpgpu_platform):
         engine = RuntimeEngine(gpgpu_platform, scheduler="eager")

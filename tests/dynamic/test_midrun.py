@@ -52,6 +52,23 @@ class TestOutage:
         ]
         assert after  # the revived gpu picked work back up
 
+    def test_paper_size_outage_window(self):
+        """gpu0 out during [1 s, 3 s) of the 8192/1024 run: nothing starts
+        on it in the window, nothing is lost, and the run costs more but
+        less than 1.6x."""
+        _, base = run_with([], n=8192, bs=1024)
+        _, outage = run_with(
+            [(1.0, PUOffline("gpu0")), (3.0, PUOnline("gpu0"))],
+            n=8192, bs=1024,
+        )
+        started_during = [
+            t for t in outage.trace.tasks
+            if t.worker_id == "gpu0" and 1.0 < t.start < 3.0
+        ]
+        assert started_during == []
+        assert base.makespan < outage.makespan < base.makespan * 1.6
+        assert len(outage.trace.tasks) == 512
+
     def test_outage_costs_time(self):
         _, base = run_with([])
         _, degraded = run_with([(0.1, PUOffline("gpu0"))])

@@ -60,6 +60,18 @@ class TestSnapshots:
         dyn.apply(PUOffline("gpu0"))
         dyn.snapshot().validate()
 
+    def test_snapshot_after_full_event_cycle(self, dyn):
+        # both GPUs out and back, a DVFS dip and restore: all 11 PUs stay
+        dyn.apply_all([
+            PUOffline("gpu0", reason="thermal"),
+            PUOffline("gpu1", reason="driver"),
+            FrequencyChange("cpu", new_ghz=2.0),
+            PUOnline("gpu0"),
+            PUOnline("gpu1"),
+            FrequencyChange("cpu", new_ghz=2.66),
+        ])
+        assert dyn.snapshot().total_pu_count() == 11
+
 
 class TestSubscriptions:
     def test_callbacks_fired(self, dyn):

@@ -54,6 +54,35 @@ class TestRevisionRuns:
         assert 1.5 < no_gpu.makespan / base.makespan < 4.5
 
 
+class TestPaperSize:
+    """XTRA-DYN at the Figure-5 size (DGEMM 8192/1024): both GPUs fail,
+    the CPUs are downclocked, then everything recovers."""
+
+    @pytest.fixture(scope="class")
+    def runs(self):
+        dyn = DynamicPlatform(load_platform("xeon_x5550_2gpu"))
+        return run_across_revisions(
+            dyn,
+            lambda engine: submit_tiled_dgemm(engine, 8192, 1024),
+            [
+                PUOffline("gpu0", reason="thermal"),
+                PUOffline("gpu1", reason="driver"),
+                FrequencyChange("cpu", new_ghz=2.0),
+                PUOnline("gpu0"),
+                PUOnline("gpu1"),
+                FrequencyChange("cpu", new_ghz=2.66),
+            ],
+        )
+
+    def test_degraded_revision_is_cpu_only_and_slow(self, runs):
+        base, degraded = runs[0], runs[3]  # no GPUs + downclocked CPUs
+        assert degraded.makespan > 2.0 * base.makespan
+        assert degraded.tasks_by_architecture.get("gpu", 0) == 0
+
+    def test_full_recovery_returns_to_baseline(self, runs):
+        assert runs[-1].makespan == pytest.approx(runs[0].makespan, rel=0.05)
+
+
 class TestDVFS:
     def test_downclock_slows_cpu_platform(self):
         dyn = DynamicPlatform(load_platform("xeon_x5550_dual"))

@@ -63,13 +63,32 @@ class TestFunctional:
 
 
 class TestPerformance:
-    def test_gpu_platform_faster(self):
-        times = {}
+    @pytest.fixture(scope="class")
+    def runs(self):
+        """The XTRA-CHOL figure: 8192/512 dmda on both Figure-5 boxes."""
+        runs = {}
         for name in ("xeon_x5550_dual", "xeon_x5550_2gpu"):
             engine = RuntimeEngine(load_platform(name), scheduler="dmda")
             submit_tiled_cholesky(engine, 8192, 512)
-            times[name] = engine.run().makespan
+            runs[name] = (engine.task_count, engine.run())
+        return runs
+
+    def test_gpu_platform_faster(self, runs):
+        times = {name: result.makespan for name, (_, result) in runs.items()}
         assert times["xeon_x5550_2gpu"] < times["xeon_x5550_dual"]
+
+    def test_figure_shape(self, runs):
+        """816 tasks; the 8 CPU cores beat one core by 3-8.1x (the spine
+        caps scaling below DGEMM's)."""
+        from repro.perf.models import PerfModel
+
+        cpu = load_platform("xeon_x5550_dual").pu("cpu")
+        t_single = cholesky_flops(8192) / (
+            PerfModel().pu_performance(cpu).sustained_dgemm_gflops * 1e9
+        )
+        assert [count for count, _ in runs.values()] == [816, 816]
+        _, cpu_run = runs["xeon_x5550_dual"]
+        assert 3.0 < t_single / cpu_run.makespan <= 8.1
 
     def test_flops_helper(self):
         assert cholesky_flops(8192) == pytest.approx(8192**3 / 3)

@@ -75,10 +75,29 @@ class TestAnchors:
     def test_full_size_shape_holds(self):
         """Run the exact paper size once (fast: simulation only)."""
         result = run_figure5(Figure5Config(n=8192, block_size=1024))
+        single = result.row("single")
         starpu = result.row("starpu")
         gpu = result.row("starpu+2gpu")
+        assert single.time_s > 100  # ~115 s serial anchor
         assert 6.5 < starpu.speedup < 8.1
         assert 14.0 < gpu.speedup < 26.0
+        assert 1.8 < gpu.speedup / starpu.speedup < 3.5
+
+    @pytest.mark.parametrize(
+        "platform", ["xeon_x5550_dual", "xeon_x5550_2gpu"]
+    )
+    def test_paper_size_runs(self, platform):
+        """Each bar's run at the paper size: all 512 tiles complete; the
+        CPU box runs them all on x86_64, the GPU box gives the GPUs the
+        bulk and models PCIe traffic."""
+        run = run_configuration(platform, Figure5Config())
+        per_arch = run.trace.tasks_per_architecture()
+        assert run.task_count == 512
+        if platform == "xeon_x5550_dual":
+            assert per_arch == {"x86_64": 512}
+        else:
+            assert per_arch["gpu"] > per_arch["x86_64"]
+            assert run.transfer_count > 0
 
     def test_run_configuration_returns_trace(self):
         config = Figure5Config(n=2048, block_size=512)
@@ -126,3 +145,20 @@ def test_figure5_engine_outputs_are_pinned(platform):
         len(trace.tasks) + len(trace.transfers) + len(trace.faults),
         trace.fingerprint(),
     ) == FIG5_PINNED[platform]
+
+
+def test_scalar_engine_matches_the_pinned_trace():
+    """The scalar engine (the executable spec) gives the pinned
+    vectorized trace of the Figure-5 8192/512 dmda pass bit for bit."""
+    from repro.experiments.workloads import submit_tiled_dgemm
+    from repro.pdl import load_platform
+    from repro.runtime.engine import RuntimeEngine
+
+    engine = RuntimeEngine(
+        load_platform("xeon_x5550_2gpu"), scheduler="dmda", vectorized=False
+    )
+    submit_tiled_dgemm(engine, 8192, 512)
+    result = engine.run()
+    pinned = FIG5_PINNED["xeon_x5550_2gpu"]
+    assert result.makespan == pinned[1]
+    assert result.trace.fingerprint() == pinned[6]

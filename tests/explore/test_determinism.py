@@ -65,3 +65,20 @@ class TestSweepDeterminism:
             mp_context="spawn",
         )
         assert pooled.fingerprint() == serial_report.fingerprint()
+
+    def test_sampled_default_space_pool_matches_serial(self):
+        """48 points of the dgemm-default space under sys-large, scored
+        on DGEMM 1024/256: a pool of four reports what one process does,
+        and every point scores ok."""
+        from repro.explore.pareto import build_report
+        from repro.explore.sweep import sweep
+
+        workload = WorkloadSpec(name="dgemm", n=1024, block_size=256)
+        synthesis = synthesize("dgemm-default", "sys-large", seed=0, max_points=48)
+        serial = sweep(synthesis.candidates, workload, processes=1)
+        pooled = sweep(synthesis.candidates, workload, processes=4)
+        assert all(score.status == "ok" for score in serial)
+        assert (
+            build_report(synthesis, pooled, workload).fingerprint()
+            == build_report(synthesis, serial, workload).fingerprint()
+        )

@@ -426,6 +426,18 @@ class TestEngineBridging:
         assert all(s.parent_id == run_span.span_id for s in tasks)
         assert all(s.clock == SIM_CLOCK for s in tasks)
 
+    def test_traced_dgemm_pass_spans_every_record(self):
+        """A traced 2048/512 dmda pass on the Figure-5 GPU box: one span
+        per task and transfer record under the run span."""
+        engine = RuntimeEngine(load_platform("xeon_x5550_2gpu"), scheduler="dmda")
+        submit_tiled_dgemm(engine, 2048, 512)
+        tracer = Tracer()
+        with use_tracer(tracer):
+            result = engine.run()
+        records = len(result.trace.tasks) + len(result.trace.transfers)
+        assert records > 0
+        assert len(tracer.finished()) == records + 1
+
     def test_disabled_tracing_records_nothing(self):
         _, result = _small_run()
         assert result.makespan > 0  # and no tracer captured anything

@@ -1,17 +1,10 @@
-"""The umbrella ``repro`` command and its deprecation shims."""
+"""The umbrella ``repro`` command."""
 
 import json
 
 import pytest
 
-from repro.cli import (
-    cascabel_main,
-    lint_main,
-    main,
-    pdl_tool_main,
-    registry_main,
-    tune_main,
-)
+from repro.cli import main
 
 
 class TestDispatch:
@@ -105,21 +98,3 @@ class TestTraceView:
         assert "repro trace view" in capsys.readouterr().out
         assert main(["trace", "bogus"]) == 2
 
-
-class TestDeprecationShims:
-    def test_pdl_tool_shim_notes_and_delegates(self, capsys):
-        assert pdl_tool_main(["list"]) == 0
-        captured = capsys.readouterr()
-        assert "repro pdl" in captured.err
-        assert "xeon_x5550_2gpu" in captured.out
-
-    def test_all_shims_print_pointers(self, capsys):
-        for shim, new in [
-            (lint_main, "repro lint"),
-            (registry_main, "repro registry"),
-            (tune_main, "repro tune"),
-            (cascabel_main, "repro cascabel"),
-        ]:
-            with pytest.raises(SystemExit):
-                shim(["--help"])  # argparse help exits 0
-            assert new in capsys.readouterr().err

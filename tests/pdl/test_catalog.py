@@ -70,6 +70,7 @@ class TestCatalog:
 
     def test_listing1_matches_paper(self):
         p = load_platform("listing1_gpgpu")
+        assert p.total_pu_count() == 2
         assert p.pu("0").architecture == "x86"
         assert p.pu("1").architecture == "gpu"
         ic = p.interconnects()[0]

@@ -58,6 +58,9 @@ class TestShippedRoundtrip:
 
 
 class TestWriterOutput:
+    def test_figure5_descriptor_keeps_device_models(self):
+        assert "GeForce GTX 480" in write_pdl(load_platform("xeon_x5550_2gpu"))
+
     def test_deterministic(self, small_platform):
         assert write_pdl(small_platform) == write_pdl(small_platform)
 

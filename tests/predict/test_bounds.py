@@ -36,6 +36,7 @@ class TestBounds:
         submit_tiled_dgemm(engine, 8192, 1024)
         prediction = predict_engine(engine)
         result = engine.run()
+        assert prediction.task_count == 512
         assert 0.9 < prediction.compare(result) < 1.25
 
     def test_cholesky_within_35_percent(self):
@@ -45,6 +46,13 @@ class TestBounds:
         prediction = predict_engine(engine)
         result = engine.run()
         assert 0.9 < prediction.compare(result) < 1.35
+
+    def test_cholesky_on_cell_within_60_percent(self):
+        engine = fresh_engine("cell_qs22", scheduler="dmda")
+        submit_tiled_cholesky(engine, 8192, 512)
+        prediction = predict_engine(engine)
+        result = engine.run()
+        assert 0.9 < prediction.compare(result) < 1.6
 
     def test_cholesky_small_tile_count_degrades_gracefully(self):
         # p=8: the dependency spine dominates and the bounds loosen,

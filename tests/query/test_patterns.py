@@ -30,6 +30,12 @@ class TestBasicMatching:
         matches = find_matches(pattern("gpu"), gpgpu_platform)
         workers = {m.concrete("pw").id for m in matches}
         assert workers == {"gpu0", "gpu1"}
+        assert len(matches) == 2
+
+    def test_gpu_worker_found_on_200_worker_platform(self):
+        from repro.experiments.scenarios import synthetic_manycore_platform
+
+        assert pattern_matches(pattern("gpu"), synthetic_manycore_platform(200))
 
     def test_limit(self, gpgpu_platform):
         assert len(find_matches(pattern(None), gpgpu_platform, limit=2)) == 2
@@ -97,6 +103,17 @@ class TestHierarchyAndKinds:
         m = match_pattern(pat, cluster_platform)
         assert m.concrete("ph").id == "node1"
         assert m.concrete("pw").id == "node1-spe"
+
+    def test_hybrid_pattern_needs_a_hybrid(self, gpgpu_platform):
+        pat = (
+            PlatformBuilder("pat")
+            .master("pm")
+            .hybrid("ph")
+            .worker("pw", architecture="spe")
+            .end()
+            .build(validate=False)
+        )
+        assert find_matches(pat, gpgpu_platform, limit=50) == []
 
     def test_two_distinct_siblings(self, gpgpu_platform):
         pat = (

@@ -116,6 +116,7 @@ class TestEngineIntegration:
         # the paper's working set fits: capacity modeling is ~invisible
         assert result.eviction_count < 20
         assert result.writeback_bytes < 2**28
+        assert result.makespan == pytest.approx(5.86, rel=0.05)
 
     def test_oversubscription_triggers_evictions(self):
         engine = RuntimeEngine(load_platform("xeon_x5550_2gpu"),
@@ -124,6 +125,11 @@ class TestEngineIntegration:
         result = engine.run()
         assert result.eviction_count > 100
         assert result.writeback_bytes > 2**30
+        # streaming degrades gracefully: within 15% of unbounded memory
+        unbounded = RuntimeEngine(load_platform("xeon_x5550_2gpu"),
+                                  scheduler="dmda")
+        submit_tiled_dgemm(unbounded, 16384, 1024)
+        assert result.makespan < unbounded.run().makespan * 1.15
 
     def test_capacity_never_loses_data(self, rng):
         """Functional run on a tiny-memory platform: results stay correct

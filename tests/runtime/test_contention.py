@@ -43,6 +43,25 @@ class TestAblation:
         assert mesh_run(False) <= mesh_run(True) + 1e-9
 
 
+class TestInterference:
+    def test_fluid_model_engages_in_the_same_regime(self):
+        """Declared contention domains on the Figure-5 GPU box (DGEMM
+        4096/512): the model changes the timeline, but neither halves
+        the makespan nor doubles it."""
+
+        def makespan(model_interference):
+            engine = RuntimeEngine(
+                load_platform("xeon_x5550_2gpu"), scheduler="dmda",
+                model_interference=model_interference,
+            )
+            submit_tiled_dgemm(engine, 4096, 512)
+            return engine.run().makespan
+
+        clean, contended = makespan(False), makespan(True)
+        assert contended != clean
+        assert 0.9 <= contended / clean < 2.0
+
+
 class TestTransferModelFlag:
     def test_ideal_mode_no_queueing(self, gpgpu_platform):
         model = TransferModel(gpgpu_platform, model_contention=False)

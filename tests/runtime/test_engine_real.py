@@ -24,6 +24,14 @@ class TestRealExecution:
         engine.run_real()
         np.testing.assert_allclose(A.array, expected)
 
+    def test_vecadd_on_the_figure5_cpu_box(self, cpu_platform):
+        """4M-element vecadd in 32 chunks on the 8 host cores."""
+        engine = RuntimeEngine(cpu_platform, scheduler="eager")
+        submit_vecadd(engine, 1 << 22, 32, materialize=True)
+        result = engine.run_real()
+        assert result.task_count == 32
+        assert result.mode == "real"
+
     def test_all_schedulers_produce_correct_results(self, small_platform):
         for scheduler in ("eager", "ws", "dm", "dmda", "random"):
             engine = RuntimeEngine(small_platform, scheduler=scheduler)

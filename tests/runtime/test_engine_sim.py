@@ -240,3 +240,10 @@ class TestFigure5Shape:
         result = engine.run()
         per_arch = result.trace.tasks_per_architecture()
         assert per_arch["gpu"] > per_arch["x86_64"]
+
+    def test_eager_completes_the_4096_task_graph(self, gpgpu_platform):
+        engine = RuntimeEngine(gpgpu_platform, scheduler="eager")
+        submit_tiled_dgemm(engine, 8192, 512)
+        result = engine.run()
+        assert result.task_count == 4096
+        assert len(result.trace.tasks) == 4096

@@ -88,6 +88,42 @@ def test_clean_run_parity_mesh(name):
     assert fp_s == fp_v
 
 
+#: The scalar engine's trace fingerprint and makespan for the tiled DGEMM
+#: on two wide meshes, where a scalar run takes seconds: label ->
+#: (rows, cols, scheduler, n, block, fingerprint, makespan).  Regenerate
+#: with ``RuntimeEngine(..., vectorized=False)`` only when the scalar
+#: engine's semantics change on purpose.
+WIDE_MESH_SCALAR = {
+    "mesh16x16-dmda": (
+        16, 16, "dmda", 4096, 256,
+        "74c1e3555e26cc1b211a15a2e6c427d00202379e1a0bbcb9effbd7e47180e0c0",
+        0.1777211105882354,
+    ),
+    "mesh8x8-eager": (
+        8, 8, "eager", 8192, 256,
+        "e976338ec80adbf3293481a9be3448f4cc4f0f098dfbdbfa8c2f3a1b782dfd23",
+        5.687075538823501,
+    ),
+}
+
+
+@pytest.mark.parametrize("label", sorted(WIDE_MESH_SCALAR))
+def test_wide_mesh_matches_the_scalar_trace(label):
+    """256 dmda workers, and 32768 eager tasks on 64: the widths where
+    the array paths pay off give the scalar engine's trace bit for bit."""
+    rows, cols, scheduler, n, block, fingerprint, makespan = (
+        WIDE_MESH_SCALAR[label]
+    )
+    engine = RuntimeEngine(
+        synthetic_mesh_platform(rows, cols), scheduler=scheduler
+    )
+    submit_tiled_dgemm(engine, n, block)
+    result = engine.run()
+    assert len(engine.workers) == rows * cols
+    assert result.makespan == makespan
+    assert result.trace.fingerprint() == fingerprint
+
+
 @pytest.mark.parametrize("name", ["eager", "dmda"])
 def test_cholesky_multi_kernel_parity(name):
     """Four kernel kinds exercise the interned-kind mask paths."""

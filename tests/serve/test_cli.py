@@ -82,6 +82,13 @@ class TestRun:
         assert code == 2
         assert "--tenants" in err
 
+    def test_negative_rate_limit_exits_2(self, capsys):
+        code, out, err = _run(capsys, "run", "--rate-limit", "-5")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("repro serve: tenant_rate_per_s")
+        assert "Traceback" not in err
+
 
 class TestReplay:
     def test_replay_trace_file(self, capsys, tmp_path):

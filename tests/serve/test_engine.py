@@ -26,6 +26,29 @@ def _stream(duration=0.5, seed=0, **tenant_kwargs):
     )
 
 
+@pytest.mark.parametrize(
+    "field,value",
+    [
+        ("tenant_rate_per_s", -5.0),
+        ("tenant_rate_per_s", 0.0),
+        ("tenant_burst", 0.0),
+        ("tenant_burst", -1.0),
+        ("latency_window", 0),
+        ("latency_window", -1),
+        ("trace_max_events", 0),
+        ("trace_max_events", -3),
+    ],
+)
+def test_config_rejects_bad_numbers(field, value):
+    with pytest.raises(ServeError, match=field):
+        ServeConfig(**{field: value})
+
+
+def test_config_accepts_the_unbounded_defaults():
+    config = ServeConfig(tenant_rate_per_s=None, trace_max_events=None)
+    assert config.latency_window == 8192
+
+
 class TestBasicServing:
     def test_serves_everything_under_light_load(self, platform):
         arrivals = _stream()

@@ -1,10 +1,16 @@
-"""Pinned serving outputs: the report fingerprints of fixed streams.
+"""Pinned serving outputs and the claims made on them.
 
-The four ``BENCH_serve.json`` configurations (1.5 s two-tenant stream,
-seed 0) and the pdlbench ``serve_slo`` configuration (6 s stream,
-seed 1) on the dual-GPU Xeon descriptor.  A change to the serving loop,
-its cost model, staging or admission that moves any simulated time,
-placement, trace record or counter moves one of these digests.
+Four configurations serve one fixed overload stream (1.5 s, two
+tenants, seed 0) on the dual-GPU Xeon descriptor: ``dmda`` and
+``dmda-slo``, each on a fixed two-lane fleet and with the autoscaler.
+The ``serve_slo`` configuration of pdlbench (6 s stream, seed 1) is
+pinned too.  A change to the serving loop, its cost model, staging or
+admission that moves any simulated time, placement, trace record or
+counter moves one of these digests; a report's fingerprint covers its
+trace's, so a pinned digest also pins the replay.  The runs behind the
+pins also carry the serving claims: deadline scheduling with
+autoscaling cuts the fixed-fleet ``dmda`` miss rate, and ``dmda-slo``
+favours the tight-deadline tenant.
 """
 
 import pytest
@@ -47,16 +53,63 @@ def platform():
     return load_platform("xeon_x5550_2gpu")
 
 
+@pytest.fixture(scope="module")
+def overload_reports(platform):
+    """The four configurations served over the seed-0 overload stream."""
+    arrivals = synthetic_arrivals(TENANTS, duration_s=1.5, seed=0)
+    assert len(arrivals) == 1557
+    return {
+        key: ServeEngine(platform, config=_config(*key)).run(arrivals)
+        for key in sorted(BENCH_SERVE)
+    }
+
+
 @pytest.mark.parametrize(
     "scheduler,autoscale", sorted(BENCH_SERVE), ids=lambda v: str(v)
 )
-def test_bench_serve_configurations_are_pinned(platform, scheduler, autoscale):
-    arrivals = synthetic_arrivals(TENANTS, duration_s=1.5, seed=0)
-    assert len(arrivals) == 1557
-    report = ServeEngine(platform, config=_config(scheduler, autoscale)).run(
-        arrivals
-    )
+def test_bench_serve_configurations_are_pinned(
+    overload_reports, scheduler, autoscale
+):
+    report = overload_reports[(scheduler, autoscale)]
     assert report.fingerprint() == BENCH_SERVE[(scheduler, autoscale)]
+
+
+def test_deadline_scheduling_with_autoscaling_beats_fixed_dmda(overload_reports):
+    baseline = overload_reports[("dmda", False)]
+    full = overload_reports[("dmda-slo", True)]
+    assert baseline.totals["offered"] == full.totals["offered"]
+    assert full.totals["completed"] == full.totals["admitted"]
+    # at equal offered load: at least half the miss rate, lower p99
+    assert full.miss_rate * 2.0 < baseline.miss_rate
+    assert full.p99_latency < baseline.p99_latency
+
+
+def test_dmda_slo_differentiates_tenants(platform):
+    """Fixed four-lane fleet, mixed SLOs: dmda-slo cuts the 5 ms
+    tenant's miss rate without pushing the 200 ms tenant over its SLO."""
+    arrivals = synthetic_arrivals(
+        [TenantSpec(name="interactive", rate_per_s=300.0, size=256,
+                    deadline_s=0.005),
+         TenantSpec(name="batch", rate_per_s=600.0, size=256,
+                    deadline_s=0.2, burst_factor=2.0)],
+        duration_s=1.5,
+        seed=0,
+    )
+    reports = {
+        scheduler: ServeEngine(
+            platform,
+            config=ServeConfig(
+                scheduler=scheduler,
+                default_deadline_s=0.03,
+                max_queue=512,
+                autoscale=AutoscalePolicy(enabled=False, min_workers=4),
+            ),
+        ).run(arrivals)
+        for scheduler in ("dmda", "dmda-slo")
+    }
+    dmda, slo = reports["dmda"].tenants, reports["dmda-slo"].tenants
+    assert slo["interactive"]["miss_rate"] < dmda["interactive"]["miss_rate"]
+    assert slo["batch"]["miss_rate"] <= dmda["batch"]["miss_rate"] + 0.01
 
 
 def test_serve_slo_seed1_is_pinned(platform):

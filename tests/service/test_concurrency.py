@@ -134,6 +134,62 @@ class TestStoreConcurrency:
         assert errors == []
 
 
+MIXED_PROGRAM = """\
+#pragma cascabel task : x86 : I{name} : {name}_cpu : (C: readwrite, A: read, B: read)
+void {name}(double *C, double *A, double *B) {{ }}
+
+#pragma cascabel task : cuda,opencl : I{name} : {name}_gpu : (C: readwrite, A: read, B: read)
+void {name}_gpu(double *C, double *A, double *B) {{ }}
+"""
+
+
+def _mixed_workload(url, total, workers):
+    """``total`` requests from ``workers`` client threads: 60% fetch of
+    three catalog refs, 30% pre-selection of three programs, 10% query."""
+    programs = [MIXED_PROGRAM.format(name=n) for n in ("dgemm", "dtrsm", "spmv")]
+    refs = ("xeon_x5550_2gpu", "xeon_x5550_dual", "cell_qs22")
+    errors = []
+
+    def work():
+        client = RegistryClient(url)
+        try:
+            for i in range(total // workers):
+                slot = i % 10
+                if slot < 6:
+                    client.fetch(refs[i % len(refs)])
+                elif slot < 9:
+                    client.preselect("xeon_x5550_2gpu", programs[i % len(programs)])
+                else:
+                    client.query("xeon_x5550_2gpu", "//Worker[ARCHITECTURE=gpu]")
+        except Exception as exc:  # noqa: BLE001
+            errors.append(exc)
+
+    threads = [threading.Thread(target=work) for _ in range(workers)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=60)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == [], errors
+
+
+class TestMixedWorkload:
+    def test_steady_state_is_served_from_the_caches(self):
+        """After a 40-request warm-up, 240 mixed requests from four
+        threads: selections come from the memo, parses from the LRU."""
+        from repro.pdl.catalog import clear_parse_cache
+
+        clear_parse_cache()
+        config = ServiceConfig(max_queue=128, executor_threads=4)
+        with ServerThread(config=config) as url:
+            _mixed_workload(url, total=40, workers=4)
+            _mixed_workload(url, total=240, workers=4)
+            snapshot = RegistryClient(url).metrics()
+        assert snapshot["preselect_cache"]["hit_ratio"] > 0.9
+        assert snapshot["platform_cache"]["hit_ratio"] > 0.9
+        assert snapshot["errors_total"] == 0
+
+
 class _SlowStore(DescriptorStore):
     """Store whose preselect blocks until released (overload fixture)."""
 

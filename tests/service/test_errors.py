@@ -25,7 +25,9 @@ def service():
 
 def raw_request(client, method, path, body=None, headers=None):
     """Bypass RegistryClient's error rehydration to inspect raw responses."""
-    conn = http.client.HTTPConnection(client.host, client.port, timeout=10)
+    conn = http.client.HTTPConnection(
+        client.endpoint.host, client.endpoint.port, timeout=10
+    )
     try:
         conn.request(method, path, body=body, headers=headers or {})
         response = conn.getresponse()
@@ -135,7 +137,7 @@ class TestProtocolLevel:
         import socket
 
         with socket.create_connection(
-            (service.host, service.port), timeout=10
+            (service.endpoint.host, service.endpoint.port), timeout=10
         ) as sock:
             sock.sendall(b"NONSENSE\r\n\r\n")
             data = sock.recv(65536)
@@ -156,7 +158,7 @@ class TestProtocolLevel:
         import socket
 
         with socket.create_connection(
-            (service.host, service.port), timeout=10
+            (service.endpoint.host, service.endpoint.port), timeout=10
         ) as sock:
             sock.sendall(request_bytes)
             data = b""

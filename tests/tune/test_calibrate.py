@@ -72,6 +72,7 @@ class TestCalibrator:
         # 3 worker entities x 1 kernel x 2 sizes x 2 repeats
         assert db.sample_count(digest) == 12
         assert db.pus(digest) == ["cpu", "gpu0", "gpu1"]
+        assert set(db.kernels(digest)) == {"dgemm"}
         for pu in db.pus(digest):
             for size in quick_config.sizes:
                 dims = dims_for("dgemm", size)

@@ -68,6 +68,24 @@ def test_measure_model_select_loop(gpgpu_platform, tmp_path):
     assert tuned_makespan < analytic_makespan
 
 
+def test_tuning_routes_around_a_sick_gpu(gpgpu_platform):
+    """gpu0 delivers 15% of its descriptor's claim: on DGEMM 4096/1024,
+    dmda planning with the calibrated history beats the analytic plan by
+    more than 1.5x."""
+    truth = GroundTruthPerfModel({"gpu0": 0.15})
+    db, digest = calibrate_platform(
+        gpgpu_platform,
+        config=CalibrationConfig(kernels=("dgemm",), sizes=(512, 1024), repeats=2),
+        perf_model=truth,
+    )
+    analytic = run_dgemm(gpgpu_platform, truth, PerfModel(), n=4096, block=1024)
+    tuned = run_dgemm(
+        gpgpu_platform, truth, HistoryPerfModel(db, digest), n=4096, block=1024
+    )
+    assert tuned <= analytic * (1.0 + 1e-9)
+    assert analytic / tuned > 1.5
+
+
 def test_undistorted_truth_ties_analytic(gpgpu_platform):
     """With no distortion, history and analytic agree — the tuned
     scheduler must not regress the baseline."""
